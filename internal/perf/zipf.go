@@ -3,6 +3,7 @@ package perf
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // zipfGen draws item ranks from the Zipfian distribution of YCSB /
@@ -34,6 +35,38 @@ func zeta(n int64, theta float64) float64 {
 	return sum
 }
 
+// zetaMemo caches zeta by (n, theta). The sum is O(n), and every Zipf
+// stream over the same span and skew needs the same value. Engines run
+// concurrently in tests, hence the mutex.
+var zetaMemo struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}
+
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
+// memoZeta is zeta, computed once per (n, theta).
+func memoZeta(n int64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetaMemo.Lock()
+	z, ok := zetaMemo.m[k]
+	zetaMemo.Unlock()
+	if ok {
+		return z
+	}
+	z = zeta(n, theta)
+	zetaMemo.Lock()
+	if zetaMemo.m == nil {
+		zetaMemo.m = make(map[zetaKey]float64)
+	}
+	zetaMemo.m[k] = z
+	zetaMemo.Unlock()
+	return z
+}
+
 // newZipf prepares a generator over n items with skew theta in (0, 1).
 func newZipf(n int64, theta float64) *zipfGen {
 	if n < 1 {
@@ -42,7 +75,7 @@ func newZipf(n int64, theta float64) *zipfGen {
 	if theta >= 1 {
 		theta = 0.999 // the Gray transform needs theta < 1
 	}
-	zetan := zeta(n, theta)
+	zetan := memoZeta(n, theta)
 	bits := uint(2)
 	for int64(1)<<bits < n {
 		bits += 2

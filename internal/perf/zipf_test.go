@@ -1,8 +1,10 @@
 package perf
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,5 +155,35 @@ func TestZipfWorkloadEndToEnd(t *testing.T) {
 	}
 	if res.Throughput.Ops == 0 {
 		t.Fatal("zipf stream completed no ops")
+	}
+}
+
+// TestZetaMemoMatchesFreshSum checks that the memoized zeta is bitwise
+// the sum it replaces, whether computed by this call, read back from
+// the cache, or filled by several goroutines at once.
+func TestZetaMemoMatchesFreshSum(t *testing.T) {
+	keys := []zetaKey{{1, 0.5}, {1 << 12, 0.99}, {1 << 12, 0.8}, {100_003, 0.999}}
+	var wg sync.WaitGroup
+	got := make([][]float64, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range keys {
+				got[g] = append(got[g], memoZeta(k.n, k.theta))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, k := range keys {
+		want := math.Float64bits(zeta(k.n, k.theta))
+		for g := range got {
+			if math.Float64bits(got[g][i]) != want {
+				t.Errorf("goroutine %d: memoZeta(%d, %v) = %v, want %v", g, k.n, k.theta, got[g][i], math.Float64frombits(want))
+			}
+		}
+		if again := memoZeta(k.n, k.theta); math.Float64bits(again) != want {
+			t.Errorf("cached memoZeta(%d, %v) = %v, want %v", k.n, k.theta, again, math.Float64frombits(want))
+		}
 	}
 }

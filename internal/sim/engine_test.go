@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -215,9 +217,276 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
+// TestEngineHandoffZeroAlloc is the kernel's allocation gate: once warm,
+// a Sleep/wake cycle and a two-process Signal ping-pong allocate nothing.
+// Each run advances the clock by one microsecond, so it covers one cycle
+// plus the handoffs in and out of RunUntil.
+func TestEngineHandoffZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	e.GoDaemon("ticker", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	step := func() {
+		if err := e.RunUntil(e.Now().Add(time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("Sleep/wake cycle: %v allocs, want 0", n)
+	}
+
+	f := NewEngine(1)
+	defer f.Close()
+	ping, pong := NewSignal(f), NewSignal(f)
+	f.GoDaemon("ping", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+			pong.Fire()
+			ping.Wait(p)
+			ping.Reset()
+		}
+	})
+	f.GoDaemon("pong", func(p *Proc) {
+		for {
+			pong.Wait(p)
+			pong.Reset()
+			ping.Fire()
+		}
+	})
+	rounds := 0
+	f.GoDaemon("count", func(p *Proc) {
+		for {
+			pong.Wait(p)
+			rounds++
+		}
+	})
+	step = func() {
+		if err := f.RunUntil(f.Now().Add(time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("Signal ping-pong: %v allocs, want 0", n)
+	}
+	if rounds < 1000 {
+		t.Errorf("ping-pong made %d rounds, want at least 1000", rounds)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has dropped to
+// want, or after a second. A goroutine that has acknowledged its exit
+// may still be counted for a moment. The count may also end below want,
+// when a goroutine of an earlier test was still exiting as want was
+// taken, so callers check only for an excess.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// A timed-out wait leaves a stale entry in its wait list. Waking that
+// entry must neither resume the process from a later, fresh park nor use
+// up the wakeup that a live waiter behind it is owed.
+func TestStaleWaiterDoesNotWakeFreshPark(t *testing.T) {
+	const timeout, poke, release = 10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond
+	e := NewEngine(1)
+	q := NewQueue[int](e, 0)
+	sem := NewSemaphore(e, 0)
+	sig := NewSignal(e)
+	var getTimedOut, sigTimedOut bool
+	var semAt, joinAt, liveGetAt Time
+	// A timed-out GetTimeout, then a fresh park on a Semaphore.
+	e.Go("get-then-acquire", func(p *Proc) {
+		_, ok := q.GetTimeout(p, timeout)
+		getTimedOut = !ok
+		sem.Acquire(p)
+		semAt = p.Now()
+	})
+	// A live getter queued behind the stale entry.
+	e.Go("live-get", func(p *Proc) {
+		p.Sleep(15 * time.Microsecond)
+		q.Get(p)
+		liveGetAt = p.Now()
+	})
+	// A timed-out Signal.WaitTimeout, then a fresh park in Join.
+	e.Go("wait-then-join", func(p *Proc) {
+		sigTimedOut = !sig.WaitTimeout(p, timeout)
+		p.Join(e.Go("child", func(c *Proc) { c.Sleep(release - timeout) }))
+		joinAt = p.Now()
+	})
+	e.Go("poke", func(p *Proc) {
+		p.Sleep(poke)
+		q.TryPut(1)
+		sig.Fire()
+		p.Sleep(release - poke)
+		sem.Release()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !getTimedOut || !sigTimedOut {
+		t.Fatalf("first waits timed out: GetTimeout %v, WaitTimeout %v; want both", getTimedOut, sigTimedOut)
+	}
+	if semAt != Time(release) {
+		t.Errorf("Acquire after a timed-out GetTimeout resumed at %v, want %v", semAt, Time(release))
+	}
+	if liveGetAt != Time(poke) {
+		t.Errorf("live getter behind the stale entry resumed at %v, want %v", liveGetAt, Time(poke))
+	}
+	if joinAt != Time(release) {
+		t.Errorf("Join after a timed-out WaitTimeout resumed at %v, want %v", joinAt, Time(release))
+	}
+
+	// A timed-out GetTimeout, then a Sleep: the stale entry must not cut
+	// the sleep short. And a GetTimeout served before its deadline, then a
+	// fresh park: the stale timer must not end that park.
+	f := NewEngine(1)
+	q3, q4 := NewQueue[int](f, 0), NewQueue[int](f, 0)
+	sig2 := NewSignal(f)
+	var sleepTimedOut, served bool
+	var sleepAt, waitAt Time
+	f.Go("get-then-sleep", func(p *Proc) {
+		_, ok := q3.GetTimeout(p, timeout)
+		sleepTimedOut = !ok
+		p.Sleep(30 * time.Microsecond)
+		sleepAt = p.Now()
+	})
+	f.Go("served-then-wait", func(p *Proc) {
+		_, served = q4.GetTimeout(p, timeout)
+		sig2.Wait(p)
+		waitAt = p.Now()
+	})
+	f.Go("poke", func(p *Proc) {
+		q4.TryPut(1)
+		p.Sleep(poke)
+		q3.TryPut(1)
+		p.Sleep(release - poke)
+		sig2.Fire()
+	})
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !sleepTimedOut || sleepAt != Time(40*time.Microsecond) {
+		t.Errorf("GetTimeout then Sleep: timed out %v, resumed at %v; want true, 40us", sleepTimedOut, sleepAt)
+	}
+	if !served || waitAt != Time(release) {
+		t.Errorf("served GetTimeout then Wait: served %v, resumed at %v; want true, %v", served, waitAt, Time(release))
+	}
+}
+
+func TestJoinFinishedProcAfterCarrierReuse(t *testing.T) {
+	e := NewEngine(1)
+	var child, reuser *Proc
+	e.Go("parent", func(p *Proc) {
+		child = e.Go("child", func(c *Proc) {})
+		p.Sleep(10 * time.Microsecond)
+		reuser = e.Go("reuser", func(r *Proc) { r.Sleep(100 * time.Microsecond) })
+		p.Sleep(10 * time.Microsecond)
+		if reuser.c != child.c {
+			t.Error("the second process did not reuse the finished one's carrier")
+		}
+		start := p.Now()
+		p.Join(child)
+		if p.Now() != start {
+			t.Errorf("join of a finished process advanced time to %v", p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCallbackPanicSurfacesAsError(t *testing.T) {
+	// Dispatched by the goroutine running Run: no process is involved.
+	e := NewEngine(1)
+	e.After(time.Microsecond, func() { panic("kaboom") })
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "callback panicked: kaboom") {
+		t.Fatalf("engine-dispatched callback: err = %v", err)
+	}
+
+	// Dispatched by a sleeping process's goroutine: the panic must not be
+	// charged to that process.
+	base := runtime.NumGoroutine()
+	f := NewEngine(1)
+	var sleeper *Proc
+	f.Go("sleeper", func(p *Proc) {
+		sleeper = p
+		f.After(time.Microsecond, func() { panic("kaboom") })
+		p.Sleep(5 * time.Microsecond)
+	})
+	err := f.Run()
+	if err == nil || !strings.Contains(err.Error(), "callback panicked: kaboom") {
+		t.Fatalf("process-dispatched callback: err = %v", err)
+	}
+	if sleeper.Done() {
+		t.Error("the process that dispatched the callback was ended by its panic")
+	}
+	f.Close()
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("goroutines after Close = %d, want at most %d", n, base)
+	}
+}
+
+func TestCloseUnwindsParkedAndUnstartedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	q := NewQueue[int](e, 0)
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		e.GoDaemon("server", func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				q.Get(p)
+			}
+		})
+	}
+	e.Go("sleeper", func(p *Proc) {
+		// A deferred call that tries to wait during the unwinding ends the
+		// process instead of blocking Close.
+		defer func() {
+			unwound++
+			p.Sleep(time.Second)
+			t.Error("Sleep returned while Close unwound the process")
+		}()
+		p.Sleep(time.Hour)
+	})
+	if err := e.RunUntil(Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if n := settledGoroutines(base + 4); n > base+4 {
+		t.Errorf("goroutines before Close = %d, want at most %d (one per parked process, no idle carrier)", n, base+4)
+	}
+	ran := false
+	e.Go("unstarted", func(p *Proc) { ran = true })
+	e.Close()
+	if unwound != 4 {
+		t.Errorf("Close ran %d deferred calls, want 4", unwound)
+	}
+	if e.Live() != 0 {
+		t.Errorf("Live() = %d after Close", e.Live())
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("goroutines after Close = %d, want at most %d", n, base)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Error("a process spawned but not started before Close ran")
+	}
+}
+
 // BenchmarkEngineEventThroughput measures the kernel's raw event rate:
 // how many process wake/sleep handoffs per second the simulator sustains.
 func BenchmarkEngineEventThroughput(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(1)
 		const procs, ticks = 8, 2000

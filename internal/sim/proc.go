@@ -1,21 +1,34 @@
 package sim
 
-import "time"
+import (
+	"runtime"
+	"time"
+)
 
-// Proc is a simulation process: a goroutine that runs cooperatively under
-// the engine. Blocking methods (Sleep, and the queue/semaphore operations
-// that take a *Proc) suspend the goroutine and return control to the engine
-// until the wakeup condition fires.
+// Proc is a simulation process: a function that runs cooperatively under
+// the engine on a carrier goroutine. Blocking methods (Sleep, and the
+// queue/semaphore operations that take a *Proc) suspend the process and
+// pass control on until the wakeup condition fires.
 //
-// A Proc must only be used from its own goroutine (the function passed to
-// Engine.Go).
+// A Proc must only be used from its own process function (the function
+// passed to Engine.Go).
 type Proc struct {
-	engine  *Engine
-	name    string
-	wake    chan struct{}
-	done    bool
-	daemon  bool
-	joiners []*blocked
+	engine *Engine
+	name   string
+	fn     func(p *Proc)
+	c      *carrier // nil until the process starts
+	idx    int      // position in engine.procs while live
+	done   bool
+	daemon bool
+	parked bool // parked with no timer: seen by the deadlock check
+	// waitGen numbers the process's parks. A waiter entry or timeout
+	// event from an earlier park carries an older generation and is
+	// skipped; consumed marks the current park as won by a waker or its
+	// timer, and timedOut says which.
+	waitGen  uint64
+	consumed bool
+	timedOut bool
+	joiners  waitList
 }
 
 // Daemon reports whether this is a background service process.
@@ -33,10 +46,24 @@ func (p *Proc) Now() Time { return p.engine.now }
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// block yields control to the engine and waits to be resumed.
+// block gives up control until the process is resumed. The process's own
+// goroutine runs the dispatch loop; when the next process to resume is
+// this one, block just returns.
 func (p *Proc) block() {
-	p.engine.yield <- struct{}{}
-	<-p.wake
+	e := p.engine
+	if e.closed {
+		runtime.Goexit() // a deferred call tried to wait while Close unwinds p
+	}
+	q := e.next()
+	if q == p {
+		return
+	}
+	c := p.c
+	e.handoff(q)
+	<-c.wake
+	if e.closed {
+		runtime.Goexit()
+	}
 }
 
 // Sleep suspends the process for the given virtual duration. Non-positive
@@ -46,7 +73,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.engine.schedule(p.engine.now.Add(d), &event{wake: p})
+	p.engine.schedule(p.engine.now.Add(d), event{p: p})
 	p.block()
 }
 
@@ -54,18 +81,22 @@ func (p *Proc) Sleep(d time.Duration) {
 // already queued for this instant.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// park suspends the process until another party wins its wait token via
-// Engine.wakeWaiter. If timeout is positive a timer competes for the token;
-// park reports true if the timer won (the wait timed out). A non-positive
-// timeout parks indefinitely.
-func (p *Proc) park(tok *waitToken, timeout time.Duration) (timedOut bool) {
+// wait registers the process on list and parks it until a waker wins the
+// park via Engine.wakeWaiter. If timeout is positive a timer competes for
+// the park; wait reports true if the timer won (the wait timed out). A
+// non-positive timeout parks indefinitely.
+func (p *Proc) wait(list *waitList, timeout time.Duration) (timedOut bool) {
+	e := p.engine
+	p.waitGen++
+	p.consumed, p.timedOut = false, false
+	list.push(waiter{p: p, gen: p.waitGen})
 	if timeout > 0 {
-		p.engine.schedule(p.engine.now.Add(timeout), &event{wake: p, tok: tok, timeout: true})
+		e.schedule(e.now.Add(timeout), event{p: p, gen: p.waitGen})
 	} else {
-		p.engine.parked[p] = struct{}{}
+		p.parked = true
 	}
 	p.block()
-	return tok.timedOut
+	return p.timedOut
 }
 
 // Join blocks until q has finished. Joining a finished process returns
@@ -74,9 +105,7 @@ func (p *Proc) Join(q *Proc) {
 	if q.done {
 		return
 	}
-	w := &blocked{p: p, tok: &waitToken{}}
-	q.joiners = append(q.joiners, w)
-	p.park(w.tok, 0)
+	p.wait(&q.joiners, 0)
 }
 
 // JoinAll blocks until every process in qs has finished.
@@ -84,4 +113,32 @@ func (p *Proc) JoinAll(qs ...*Proc) {
 	for _, q := range qs {
 		p.Join(q)
 	}
+}
+
+// waiter is one parked process in a wait list, tagged with the generation
+// of the park it was registered for.
+type waiter struct {
+	p   *Proc
+	gen uint64
+}
+
+// waitList is a FIFO of waiters.
+type waitList struct{ fifo[waiter] }
+
+// wakeOne resumes the first waiter whose park is still live.
+func (l *waitList) wakeOne(e *Engine) {
+	for l.len() > 0 {
+		if e.wakeWaiter(l.pop()) {
+			return
+		}
+	}
+}
+
+// wakeAll resumes every live waiter in the list.
+func (l *waitList) wakeAll(e *Engine) {
+	for _, w := range l.s[l.head:] {
+		e.wakeWaiter(w)
+	}
+	clear(l.s)
+	l.s, l.head = l.s[:0], 0
 }

@@ -2,15 +2,48 @@ package sim
 
 import "time"
 
+// fifo is a first-in first-out buffer that reuses its backing array, so
+// a steady push/pop cycle allocates nothing.
+type fifo[T any] struct {
+	s    []T
+	head int // s[:head] have been popped
+}
+
+func (f *fifo[T]) len() int { return len(f.s) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	// Slide the live items down rather than grow, once the popped prefix
+	// is at least half the array: the capacity stays within a small
+	// multiple of the most items ever held.
+	if len(f.s) == cap(f.s) && f.head > 0 && f.head >= len(f.s)/2 {
+		n := copy(f.s, f.s[f.head:])
+		clear(f.s[n:])
+		f.s, f.head = f.s[:n], 0
+	}
+	f.s = append(f.s, v)
+}
+
+// pop removes and returns the head item; the fifo must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.s[f.head]
+	var zero T
+	f.s[f.head] = zero
+	f.head++
+	if f.head == len(f.s) {
+		f.s, f.head = f.s[:0], 0
+	}
+	return v
+}
+
 // Queue is a FIFO channel analogue for simulation processes. A zero
 // capacity means unbounded. Get blocks while the queue is empty; Put blocks
 // while a bounded queue is full. Wakeups are FIFO among waiters.
 type Queue[T any] struct {
 	e       *Engine
-	items   []T
+	items   fifo[T]
 	cap     int
-	getters []*blocked
-	putters []*blocked
+	getters waitList
+	putters waitList
 	closed  bool
 }
 
@@ -21,74 +54,49 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
-// wakeOne resumes the first waiter whose token is still live.
-func wakeOne(e *Engine, list *[]*blocked) {
-	for len(*list) > 0 {
-		w := (*list)[0]
-		*list = (*list)[1:]
-		if e.wakeWaiter(w) {
-			return
-		}
-	}
-}
-
-// wakeAll resumes every live waiter in the list.
-func wakeAll(e *Engine, list *[]*blocked) {
-	for len(*list) > 0 {
-		w := (*list)[0]
-		*list = (*list)[1:]
-		e.wakeWaiter(w)
-	}
-}
-
 // Put appends v, blocking while a bounded queue is full. Putting to a
 // closed queue panics.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && len(q.items) >= q.cap {
+	for q.cap > 0 && q.items.len() >= q.cap {
 		if q.closed {
 			panic("sim: Put on closed queue")
 		}
-		w := &blocked{p: p, tok: &waitToken{}}
-		q.putters = append(q.putters, w)
-		p.park(w.tok, 0)
+		p.wait(&q.putters, 0)
 	}
 	if q.closed {
 		panic("sim: Put on closed queue")
 	}
-	q.items = append(q.items, v)
-	wakeOne(q.e, &q.getters)
+	q.items.push(v)
+	q.getters.wakeOne(q.e)
 }
 
 // TryPut appends v without blocking; it reports whether the item was
 // accepted.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || (q.cap > 0 && len(q.items) >= q.cap) {
+	if q.closed || (q.cap > 0 && q.items.len() >= q.cap) {
 		return false
 	}
-	q.items = append(q.items, v)
-	wakeOne(q.e, &q.getters)
+	q.items.push(v)
+	q.getters.wakeOne(q.e)
 	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is
 // empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed {
 			return v, false
 		}
-		w := &blocked{p: p, tok: &waitToken{}}
-		q.getters = append(q.getters, w)
-		p.park(w.tok, 0)
+		p.wait(&q.getters, 0)
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	wakeOne(q.e, &q.putters)
+	v = q.items.pop()
+	q.putters.wakeOne(q.e)
 	return v, true
 }
 
@@ -99,7 +107,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, timeout time.Duration) (v T, ok bool) {
 		return q.Get(p)
 	}
 	deadline := q.e.now.Add(timeout)
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed {
 			return v, false
 		}
@@ -107,26 +115,22 @@ func (q *Queue[T]) GetTimeout(p *Proc, timeout time.Duration) (v T, ok bool) {
 		if remain <= 0 {
 			return v, false
 		}
-		w := &blocked{p: p, tok: &waitToken{}}
-		q.getters = append(q.getters, w)
-		if p.park(w.tok, remain) {
+		if p.wait(&q.getters, remain) {
 			return v, false
 		}
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	wakeOne(q.e, &q.putters)
+	v = q.items.pop()
+	q.putters.wakeOne(q.e)
 	return v, true
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	wakeOne(q.e, &q.putters)
+	v = q.items.pop()
+	q.putters.wakeOne(q.e)
 	return v, true
 }
 
@@ -137,6 +141,6 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	wakeAll(q.e, &q.getters)
-	wakeAll(q.e, &q.putters)
+	q.getters.wakeAll(q.e)
+	q.putters.wakeAll(q.e)
 }

@@ -7,7 +7,7 @@ import "time"
 type Semaphore struct {
 	e       *Engine
 	permits int
-	waiters []*blocked
+	waiters waitList
 }
 
 // NewSemaphore creates a semaphore holding the given number of permits.
@@ -18,9 +18,7 @@ func NewSemaphore(e *Engine, permits int) *Semaphore {
 // Acquire takes one permit, blocking until one is available.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.permits <= 0 {
-		w := &blocked{p: p, tok: &waitToken{}}
-		s.waiters = append(s.waiters, w)
-		p.park(w.tok, 0)
+		p.wait(&s.waiters, 0)
 	}
 	s.permits--
 }
@@ -37,7 +35,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit and wakes a blocked acquirer, if any.
 func (s *Semaphore) Release() {
 	s.permits++
-	wakeOne(s.e, &s.waiters)
+	s.waiters.wakeOne(s.e)
 }
 
 // Available returns the number of free permits.
@@ -48,7 +46,7 @@ func (s *Semaphore) Available() int { return s.permits }
 type Signal struct {
 	e       *Engine
 	fired   bool
-	waiters []*blocked
+	waiters waitList
 }
 
 // NewSignal creates an unfired signal.
@@ -65,9 +63,7 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	w := &blocked{p: p, tok: &waitToken{}}
-	s.waiters = append(s.waiters, w)
-	p.park(w.tok, 0)
+	p.wait(&s.waiters, 0)
 }
 
 // WaitTimeout is Wait with a deadline; it reports whether the signal fired
@@ -80,9 +76,7 @@ func (s *Signal) WaitTimeout(p *Proc, timeout time.Duration) bool {
 		s.Wait(p)
 		return true
 	}
-	w := &blocked{p: p, tok: &waitToken{}}
-	s.waiters = append(s.waiters, w)
-	return !p.park(w.tok, timeout)
+	return !p.wait(&s.waiters, timeout)
 }
 
 // Fire fires the signal, waking all waiters. Idempotent.
@@ -91,7 +85,7 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	wakeAll(s.e, &s.waiters)
+	s.waiters.wakeAll(s.e)
 }
 
 // Reset returns a fired signal to the unfired state.
@@ -100,14 +94,14 @@ func (s *Signal) Reset() { s.fired = false }
 // Future carries a single value set exactly once; processes can block until
 // it resolves. It is the simulation analogue of a one-shot channel.
 type Future[T any] struct {
-	sig       *Signal
+	sig       Signal
 	val       T
 	callbacks []func(T)
 }
 
 // NewFuture creates an unresolved future.
 func NewFuture[T any](e *Engine) *Future[T] {
-	return &Future[T]{sig: NewSignal(e)}
+	return &Future[T]{sig: Signal{e: e}}
 }
 
 // Resolve sets the value, wakes all waiters, and runs registered
@@ -181,14 +175,13 @@ func (f *Future[T]) Value() (v T, ok bool) {
 
 // WaitGroup waits for a collection of processes or operations to finish.
 type WaitGroup struct {
-	e     *Engine
 	count int
-	sig   *Signal
+	sig   Signal
 }
 
 // NewWaitGroup creates a wait group with a zero count.
 func NewWaitGroup(e *Engine) *WaitGroup {
-	return &WaitGroup{e: e, sig: NewSignal(e)}
+	return &WaitGroup{sig: Signal{e: e}}
 }
 
 // Add increments the pending-operation count by n (n may be negative, as
