@@ -18,6 +18,7 @@ import (
 
 func main() {
 	cluster := oaf.NewCluster(oaf.Config{Seed: 1})
+	defer cluster.Close()
 	if err := cluster.AddHost("hostA"); err != nil {
 		log.Fatal(err)
 	}

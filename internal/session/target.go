@@ -284,6 +284,8 @@ type Conn struct {
 	// transmit path stays allocation-free).
 	txPDUs   []pdu.PDU
 	txAfters []func()
+	// reads is the free list of TCP read contexts.
+	reads []*readCtx
 }
 
 // Target returns the owning engine core.
@@ -510,7 +512,7 @@ func SortedWriteCIDs(m map[uint16]*WriteCtx) []uint16 {
 func (c *Conn) retryWaits() {
 	for c.WaitsQ.Len() > 0 {
 		w, _ := c.WaitsQ.TryGet()
-		bufs, ok := c.allocBufs(w.need)
+		bufs, ok := c.allocBufs(nil, w.need)
 		if !ok {
 			// Put it back at the head position, preserving FIFO order.
 			rest := []*AllocWait{w}
@@ -528,12 +530,16 @@ func (c *Conn) retryWaits() {
 	}
 }
 
-// allocBufs grabs n buffers from the shared pool, all or nothing.
-func (c *Conn) allocBufs(n int) ([]*mempool.Buf, bool) {
+// allocBufs grabs n buffers from the shared pool, all or nothing, into
+// dst's backing array when it is large enough.
+func (c *Conn) allocBufs(dst []*mempool.Buf, n int) ([]*mempool.Buf, bool) {
 	if c.t.cfg.Pool.Available() < n {
 		return nil, false
 	}
-	bufs := make([]*mempool.Buf, 0, n)
+	bufs := dst[:0]
+	if cap(bufs) < n {
+		bufs = make([]*mempool.Buf, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		b, ok := c.t.cfg.Pool.Get()
 		if !ok {
@@ -552,9 +558,16 @@ func (c *Conn) allocBufs(n int) ([]*mempool.Buf, bool) {
 // past MaxBufferWaiters the server sheds it with a retryable typed
 // error instead of queueing without bound.
 func (c *Conn) WithBufs(cid uint16, n int, fn func(bufs []*mempool.Buf)) {
-	if bufs, ok := c.allocBufs(n); ok {
+	c.withBufs(nil, cid, n, fn)
+}
+
+// withBufs is WithBufs that, when the buffers are free at once, fills
+// dst's backing array instead of a new slice. It reports false when it
+// shed the command, so fn will never run.
+func (c *Conn) withBufs(dst []*mempool.Buf, cid uint16, n int, fn func(bufs []*mempool.Buf)) bool {
+	if bufs, ok := c.allocBufs(dst, n); ok {
 		fn(bufs)
-		return
+		return true
 	}
 	if max := c.t.cfg.MaxBufferWaiters; max > 0 && c.WaitsQ.Len() >= max {
 		c.t.Shed++
@@ -572,11 +585,12 @@ func (c *Conn) WithBufs(cid uint16, n int, fn func(bufs []*mempool.Buf)) {
 			}
 		}
 		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cid, Status: nvme.StatusCommandInterrupted}})
-		return
+		return false
 	}
 	c.t.BufferWaits++
 	c.t.tel.Inc(telemetry.CtrSrvBufWaits)
 	c.WaitsQ.TryPut(&AllocWait{need: n, since: c.t.e.Now(), run: fn})
+	return true
 }
 
 // FreeBufs returns a buffer set to its pool.
@@ -827,62 +841,150 @@ func (c *Conn) StartRead(cmd nvme.Command, transit time.Duration, done func(w *s
 	})
 }
 
-// StartReadTCP is StartRead composed with SendReadOverTCP in one closure
-// chain (no done indirection): the plain-TCP read path, kept allocation-
-// equivalent to a hand-written binding for wires with no alternate read
-// route.
+// StartReadTCP serves a read on the plain TCP data path: it reserves
+// chunk buffers, runs the read on a device worker and streams the result
+// with SendReadOverTCP. The per-command state comes from the
+// connection's free list of read contexts.
 func (c *Conn) StartReadTCP(cmd nvme.Command, transit time.Duration) {
-	size := int(cmd.NLB()) * transport.BlockSize
-	need := transport.Chunks(size, c.t.cfg.ChunkSize)
-	c.WithBufs(cmd.CID, need, func(bufs []*mempool.Buf) {
-		c.t.e.Go(c.t.readWorker, func(w *sim.Proc) {
-			res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, cmd, nil)
-			if res.CQE.Status.IsError() {
-				FreeBufs(bufs)
-				c.kick.Fire()
-				c.Post(nil, c.Resp(res, transit, 0))
-				return
-			}
-			c.SendReadOverTCP(cmd, size, res, transit, bufs)
-		})
-	})
+	r := c.getRead()
+	r.cmd, r.transit = cmd, transit
+	r.size = int(cmd.NLB()) * transport.BlockSize
+	if !c.withBufs(r.bufs, cmd.CID, transport.Chunks(r.size, c.t.cfg.ChunkSize), r.startFn) {
+		r.recycle()
+	}
 }
 
 // SendReadOverTCP streams the payload as chunked C2HData PDUs; the final
 // chunk travels with the response capsule in one message, and the
 // reserved buffers release once the bytes are on the wire.
 func (c *Conn) SendReadOverTCP(cmd nvme.Command, size int, res target.ExecResult, transit time.Duration, bufs []*mempool.Buf) {
-	chunk := c.t.cfg.ChunkSize
-	var batches []*txBatch
-	transport.ChunkSizes(size, chunk, func(off, n int) {
-		d := &pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Offset: uint32(off), Last: off+n >= size}
+	r := c.getRead()
+	r.cmd, r.size, r.transit, r.bufs = cmd, size, transit, bufs
+	r.send(res)
+}
+
+// readCtx is the state of one read served over the TCP data path. It
+// lives on its connection's free list between commands, together with
+// the backing arrays and bound method values it has grown, so a read
+// allocates none of them. The PDUs it queues are encoded before the
+// last batch's after hook returns the context to the list.
+type readCtx struct {
+	c       *Conn
+	cmd     nvme.Command
+	size    int
+	transit time.Duration
+	bufs    []*mempool.Buf
+	data    []pdu.Data
+	resp    pdu.CapsuleResp
+	pdus    []pdu.PDU
+	batches []txBatch
+	// Bound once, when the context is made.
+	startFn   func(bufs []*mempool.Buf)
+	execFn    func(w *sim.Proc)
+	releaseFn func()
+	recycleFn func()
+}
+
+// getRead takes a read context off the free list, or makes one.
+func (c *Conn) getRead() *readCtx {
+	if n := len(c.reads); n > 0 {
+		r := c.reads[n-1]
+		c.reads[n-1] = nil
+		c.reads = c.reads[:n-1]
+		return r
+	}
+	r := &readCtx{c: c}
+	r.startFn, r.execFn, r.releaseFn, r.recycleFn = r.start, r.exec, r.release, r.recycle
+	return r
+}
+
+// start runs the read on a device worker once its buffers are reserved.
+func (r *readCtx) start(bufs []*mempool.Buf) {
+	r.bufs = bufs
+	r.c.t.e.Go(r.c.t.readWorker, r.execFn)
+}
+
+// exec is the device worker: it executes the read and sends the result,
+// or, when the device failed, frees the buffers at once and responds.
+func (r *readCtx) exec(w *sim.Proc) {
+	c := r.c
+	res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, r.cmd, nil)
+	if !res.CQE.Status.IsError() {
+		r.send(res)
+		return
+	}
+	r.freeBufs()
+	c.kick.Fire()
+	r.resp = c.resp(res, r.transit, 0)
+	c.Post(r.recycleFn, &r.resp)
+}
+
+// send queues one batch per chunk and the response with the last one.
+func (r *readCtx) send(res target.ExecResult) {
+	c := r.c
+	if c.dead {
+		// Connection torn down while the read executed: reclaim without
+		// transmitting.
+		r.release()
+		return
+	}
+	r.data = r.data[:0]
+	transport.ChunkSizes(r.size, c.t.cfg.ChunkSize, func(off, n int) {
+		d := pdu.Data{Dir: pdu.TypeC2HData, CID: r.cmd.CID, Offset: uint32(off), Last: off+n >= r.size}
 		if res.Data != nil {
 			d.Payload = res.Data[off : off+n]
 		} else {
 			d.VirtualLen = n
 		}
-		batches = append(batches, &txBatch{pdus: []pdu.PDU{d}})
+		r.data = append(r.data, d)
 	})
-	last := batches[len(batches)-1]
-	last.pdus = append(last.pdus, c.Resp(res, transit, 0))
-	last.after = func() { FreeBufs(bufs) }
-	if c.dead {
-		// Connection torn down while the read executed: reclaim without
-		// transmitting.
-		FreeBufs(bufs)
-		return
+	r.resp = c.resp(res, r.transit, 0)
+	r.pdus, r.batches = r.pdus[:0], r.batches[:0]
+	for i := range r.data {
+		r.pdus = append(r.pdus, &r.data[i])
 	}
-	for _, b := range batches {
-		c.txQ.TryPut(b)
+	r.pdus = append(r.pdus, &r.resp)
+	last := len(r.data) - 1
+	for i := range last {
+		r.batches = append(r.batches, txBatch{pdus: r.pdus[i : i+1]})
+	}
+	r.batches = append(r.batches, txBatch{pdus: r.pdus[last:], after: r.releaseFn})
+	for i := range r.batches {
+		c.txQ.TryPut(&r.batches[i])
 	}
 	c.kick.Fire()
+}
+
+// release frees the reserved buffers once the read's bytes are on the
+// wire (or will never be) and recycles the context.
+func (r *readCtx) release() {
+	r.freeBufs()
+	r.recycle()
+}
+
+func (r *readCtx) freeBufs() {
+	FreeBufs(r.bufs)
+	clear(r.bufs)
+	r.bufs = r.bufs[:0]
+}
+
+// recycle puts the context back on the free list. It drops the payload
+// references, so a context on the list pins no read data.
+func (r *readCtx) recycle() {
+	clear(r.data)
+	r.c.reads = append(r.c.reads, r)
 }
 
 // Resp builds the response capsule with the timing trailer; the target's
 // shared-memory copy time is accounted as target-side "other" (buffer
 // management).
 func (c *Conn) Resp(res target.ExecResult, comm time.Duration, copyTime time.Duration) *pdu.CapsuleResp {
-	return &pdu.CapsuleResp{
+	r := c.resp(res, comm, copyTime)
+	return &r
+}
+
+func (c *Conn) resp(res target.ExecResult, comm time.Duration, copyTime time.Duration) pdu.CapsuleResp {
+	return pdu.CapsuleResp{
 		Rsp:        res.CQE,
 		IOTimeNs:   uint64(res.IOTime),
 		TgtCommNs:  uint64(comm),

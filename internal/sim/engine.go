@@ -1,30 +1,35 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel provides a virtual clock, an event queue, and a cooperative
-// process model: each process runs on a real goroutine, but exactly one
-// goroutine runs at a time and a process gives up control only when it
-// blocks (Sleep, queue operations, semaphores, ...). Events with equal
+// process model: each process runs as a coroutine, exactly one of them
+// runs at a time, and a process gives up control only when it blocks
+// (Sleep, queue operations, semaphores, ...). Events with equal
 // timestamps fire in scheduling (FIFO) order, so every run is
 // bit-reproducible for a given seed.
 //
-// Processes run on carrier goroutines. When a process finishes, its
-// carrier goes to an idle list, and the next process to start reuses it
-// together with its already-grown stack. RunUntil releases the idle
-// carriers before it returns, so pooling keeps no extra goroutines.
+// Processes run on carriers: coroutines made with iter.Pull, which the
+// goroutine that calls Run resumes from one dispatch loop. A process that
+// blocks runs the dispatch step itself: it pops events in order, runs
+// callbacks inline, and finds the next process to resume. When that
+// process is itself, it just returns. Otherwise it yields that process to
+// the dispatch loop, which resumes its carrier, so a process switch costs
+// two coroutine switches, no channel operation and no heap allocation:
+// events live by value in a 4-ary heap, and a park is tracked by a
+// per-process wait generation. The loop returns when the event queue is
+// empty, the time limit is reached, or a process or callback panics.
 //
-// There is no central scheduler goroutine. A process that blocks, or a
-// carrier whose process has finished, runs the dispatch loop itself: it
-// pops events in order, runs callbacks inline, and hands control straight
-// to the next process to resume. When that process is itself, it just
-// returns. Control goes back to the goroutine that called Run only when
-// the event queue is empty, the time limit is reached, or a process or
-// callback panics. In steady state a switch costs one channel handoff and
-// no heap allocation: events live by value in a 4-ary heap, and a park is
-// tracked by a per-process wait generation.
+// When a process finishes, its carrier starts the next process at once if
+// that one is due and has not started; otherwise the carrier goes to an
+// idle list, and a later process reuses it together with its
+// already-grown stack. RunUntil releases the idle carriers before it
+// returns, so pooling keeps no extra goroutines.
 //
-// Close unwinds every process still parked or sleeping, so an engine
-// leaves no goroutine behind; a process spawned but never started does
-// not run.
+// Close stops the carrier of every process still parked or sleeping. The
+// process unwinds through a private sentinel panic that its carrier
+// recovers, so its deferred calls run and an engine leaves no goroutine
+// behind; a process spawned but never started does not run. A process
+// that calls runtime.Goexit (t.FailNow in a test) ends the goroutine that
+// called Run, because iter.Pull passes a Goexit on to the caller.
 //
 // All NVMe-oAF subsystems (links, SSDs, transports, reactors) are built as
 // processes on this kernel. Real bytes move through real data structures;
@@ -35,6 +40,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -137,27 +143,27 @@ func (h *eventHeap) pop() event {
 
 // Engine owns the virtual clock and the event queue and drives all
 // processes. Exactly one flow of control is active at any instant: the
-// goroutine running Run, or a single carrier goroutine.
+// dispatch loop in RunUntil, or a single carrier coroutine.
 type Engine struct {
 	now    Time
 	seq    uint64
 	limit  Time
 	events eventHeap
-	// yield hands control back to the goroutine running Run; carriers
-	// also acknowledge on it that they have exited.
-	yield  chan struct{}
-	procs  []*Proc // spawned and not finished, indexed by Proc.idx
-	idle   []*carrier
-	seed   int64
-	err    error
-	fatal  bool
-	closed bool
+	// pending is the process a yielding carrier asks the dispatch loop to
+	// resume next; nil ends the loop.
+	pending *Proc
+	procs   []*Proc // spawned and not finished, indexed by Proc.idx
+	idle    []*carrier
+	seed    int64
+	err     error
+	fatal   bool
+	closed  bool
 }
 
 // NewEngine returns an engine with its clock at zero. The seed drives every
 // random stream derived via Rand, so runs are reproducible per seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{yield: make(chan struct{}), seed: seed}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -250,11 +256,11 @@ func (e *Engine) fail(err error) {
 }
 
 // next runs events in order, callbacks inline, until one resumes or
-// starts a process, and returns that process. It returns nil when control
-// must go back to the Run goroutine: the queue is empty, the next event
-// lies beyond the limit, or a process or callback has panicked. A
-// callback's panic is recorded as the run's error here, so it is never
-// charged to the process whose goroutine happened to dispatch it.
+// starts a process, and returns that process. It returns nil when the
+// dispatch loop must end: the queue is empty, the next event lies beyond
+// the limit, or a process or callback has panicked. A callback's panic is
+// recorded as the run's error here, so it is never charged to the process
+// that happened to dispatch it.
 func (e *Engine) next() (p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -283,97 +289,95 @@ func (e *Engine) next() (p *Proc) {
 	return nil
 }
 
-// handoff passes control to q: back to the Run goroutine when q is nil,
-// to q's carrier when q has started, or else to an idle or new carrier
-// that starts q. The caller must touch no engine state afterwards until
-// control comes back to it.
-func (e *Engine) handoff(q *Proc) {
-	switch {
-	case q == nil:
-		e.yield <- struct{}{}
-	case q.c != nil:
-		q.c.wake <- struct{}{}
-	case len(e.idle) > 0:
-		c := e.idle[len(e.idle)-1]
-		e.idle[len(e.idle)-1] = nil
-		e.idle = e.idle[:len(e.idle)-1]
-		q.c, c.next = c, q
-		c.wake <- struct{}{}
-	default:
-		q.c = &carrier{wake: make(chan struct{})}
-		go q.c.carry(q)
-	}
+// carrier is a coroutine that runs processes one after another. Only the
+// dispatch loop in RunUntil resumes it, and it gives control back by
+// yielding, so exactly one of them runs at a time.
+type carrier struct {
+	e      *Engine
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	next   *Proc // the process to start, set before an idle carrier resumes
 }
 
-// releaseIdle ends every idle carrier, waiting for each to exit.
+// unwind is the panic value that ends a process whose carrier Close stops.
+// A runtime.Goexit cannot do it: iter.Pull passes a Goexit on to the
+// goroutine that resumed the coroutine.
+type unwind struct{}
+
+// carrierFor gives the unstarted process p an idle carrier, or a new one.
+func (e *Engine) carrierFor(p *Proc) *carrier {
+	var c *carrier
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &carrier{e: e}
+		c.resume, c.stop = iter.Pull(c.body)
+	}
+	c.next, p.c = p, c
+	return c
+}
+
+// releaseIdle ends every idle carrier.
 func (e *Engine) releaseIdle() {
 	for _, c := range e.idle {
-		c.next = nil
-		c.wake <- struct{}{}
-		<-e.yield
+		c.stop()
 	}
 	clear(e.idle)
 	e.idle = e.idle[:0]
 }
 
-// carrier is a goroutine that runs processes one after another.
-type carrier struct {
-	wake chan struct{}
-	next *Proc // set before an idle carrier is woken; nil releases it
-}
-
-// carry is a carrier goroutine's body. It runs p and every process it is
-// given after it, until it is released.
-func (c *carrier) carry(p *Proc) {
-	e := p.engine
-	for p != nil {
-		p = c.run(p)
+// body is a carrier coroutine's function. It runs its first process and,
+// after each one finishes, the next process at once when that one is due
+// and has not started; otherwise it goes idle and yields the next process
+// to the dispatch loop, which may later give it another process to start.
+// It returns once it is stopped.
+func (c *carrier) body(yield func(struct{}) bool) {
+	c.yield = yield
+	e := c.e
+	p := c.next
+	for c.run(p) {
+		p = e.next()
+		if p != nil && p.c == nil {
+			p.c = c
+			continue
+		}
+		e.idle = append(e.idle, c)
+		e.pending = p
+		if !yield(struct{}{}) {
+			return
+		}
+		p = c.next
 	}
-	e.yield <- struct{}{} // acknowledge the release; touch nothing after it
 }
 
-// run executes p to completion and returns the process this carrier runs
-// next, or nil once the carrier is released.
-func (c *carrier) run(p *Proc) (next *Proc) {
-	e := p.engine
+// run executes p to completion and reports whether the carrier may go on:
+// false once Close has unwound p. A process that calls runtime.Goexit
+// (t.FailNow in a test) ends this coroutine, and iter.Pull passes the
+// Goexit on to the goroutine running RunUntil.
+func (c *carrier) run(p *Proc) (more bool) {
+	e := c.e
 	returned := false
 	defer func() {
 		r := recover()
 		if e.closed {
-			e.yield <- struct{}{} // unwound by Close: acknowledge, touch nothing after it
+			more = false // r is unwind, or nil if p recovered it
 			return
 		}
-		if r != nil {
+		switch {
+		case r != nil:
 			e.fail(fmt.Errorf("sim: process %q panicked: %v", p.name, r))
+		case !returned:
+			e.fail(fmt.Errorf("sim: process %q called runtime.Goexit", p.name))
 		}
 		e.finish(p)
-		if returned || r != nil {
-			next = c.after(e)
-			return
-		}
-		// The process called runtime.Goexit (t.FailNow in a test). This
-		// goroutine ends, so control moves on without it.
-		e.handoff(e.next())
+		more = true
 	}()
 	p.fn(p)
 	returned = true
-	return nil
-}
-
-// after moves on once the carrier's process has finished. A process that
-// has not started yet runs on this carrier at once; otherwise the carrier
-// passes control on and waits idle until it is given a process to start
-// or is released.
-func (c *carrier) after(e *Engine) *Proc {
-	q := e.next()
-	if q != nil && q.c == nil {
-		q.c = c
-		return q
-	}
-	e.idle = append(e.idle, c)
-	e.handoff(q)
-	<-c.wake
-	return c.next
+	return true
 }
 
 // Run drives the simulation until no events remain or a process panics. It
@@ -387,9 +391,13 @@ func (e *Engine) Run() error { return e.RunUntil(MaxTime) }
 // returned as its error.
 func (e *Engine) RunUntil(limit Time) error {
 	e.limit = limit
-	if p := e.next(); p != nil {
-		e.handoff(p)
-		<-e.yield
+	for p := e.next(); p != nil; p = e.pending {
+		c := p.c
+		if c == nil {
+			c = e.carrierFor(p)
+		}
+		e.pending = nil
+		c.resume()
 	}
 	e.releaseIdle()
 	if e.fatal || len(e.events) > 0 {
@@ -408,12 +416,14 @@ func (e *Engine) RunUntil(limit Time) error {
 	return e.err
 }
 
-// Close ends the engine. It unwinds every process still parked or
-// sleeping with runtime.Goexit, so their deferred calls run, and waits for
-// each goroutine to exit before it moves on. A process spawned but never
-// started does not run. Call Close from the goroutine that calls Run, once
-// Run has returned; the engine must not be used afterwards. Close is
-// idempotent.
+// Close ends the engine. It stops the carrier of every process still
+// parked or sleeping: the process unwinds through a sentinel panic, so its
+// deferred calls run, and the carrier ends before Close moves on. A
+// deferred call that tries to block during the unwinding panics in turn,
+// and a process that recovers the sentinel simply returns. A process
+// spawned but never started does not run. Call Close once Run has
+// returned, or once its goroutine has ended; the engine must not be used
+// afterwards. Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -425,8 +435,7 @@ func (e *Engine) Close() {
 		e.procs = e.procs[:len(e.procs)-1]
 		p.done = true
 		if p.c != nil {
-			p.c.wake <- struct{}{}
-			<-e.yield
+			p.c.stop()
 		}
 	}
 	e.releaseIdle()

@@ -218,9 +218,10 @@ func TestTimeArithmetic(t *testing.T) {
 }
 
 // TestEngineHandoffZeroAlloc is the kernel's allocation gate: once warm,
-// a Sleep/wake cycle and a two-process Signal ping-pong allocate nothing.
-// Each run advances the clock by one microsecond, so it covers one cycle
-// plus the handoffs in and out of RunUntil.
+// a Sleep/wake cycle, a two-process Signal ping-pong and a park on a fresh
+// Future allocate nothing. Each run advances the clock by one
+// microsecond, so it covers one cycle plus the switches in and out of
+// RunUntil.
 func TestEngineHandoffZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Close()
@@ -273,6 +274,38 @@ func TestEngineHandoffZeroAlloc(t *testing.T) {
 	}
 	if rounds < 1000 {
 		t.Errorf("ping-pong made %d rounds, want at least 1000", rounds)
+	}
+
+	// A fresh Future every cycle: its first waiter must park without
+	// allocating a wait-list slot. The Future is a reused value, so the
+	// only allocation it could cause is the park itself.
+	g := NewEngine(1)
+	defer g.Close()
+	var fut Future[int]
+	parks := 0
+	g.GoDaemon("waiter", func(p *Proc) {
+		for {
+			fut = Future[int]{sig: Signal{e: g}}
+			fut.Wait(p)
+			parks++
+		}
+	})
+	g.GoDaemon("resolver", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+			fut.Resolve(1)
+		}
+	})
+	step = func() {
+		if err := g.RunUntil(g.Now().Add(time.Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("park on a fresh Future: %v allocs, want 0", n)
+	}
+	if parks < 1000 {
+		t.Errorf("the fresh-Future cycle ran %d times, want at least 1000", parks)
 	}
 }
 
@@ -411,7 +444,7 @@ func TestCallbackPanicSurfacesAsError(t *testing.T) {
 		t.Fatalf("engine-dispatched callback: err = %v", err)
 	}
 
-	// Dispatched by a sleeping process's goroutine: the panic must not be
+	// Dispatched by a sleeping process's coroutine: the panic must not be
 	// charged to that process.
 	base := runtime.NumGoroutine()
 	f := NewEngine(1)
@@ -483,8 +516,76 @@ func TestCloseUnwindsParkedAndUnstartedProcs(t *testing.T) {
 	}
 }
 
+// A process that calls runtime.Goexit (as t.FailNow does) ends the
+// goroutine that called Run, as if it had called Goexit itself: its
+// coroutine passes the Goexit on. The run records it as an error, and a
+// later Close still unwinds the processes left parked.
+func TestGoexitInProcessEndsRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	unwound := false
+	e.GoDaemon("parked", func(p *Proc) {
+		defer func() { unwound = true }()
+		NewSignal(e).Wait(p)
+	})
+	after := false
+	e.Go("exits", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		runtime.Goexit()
+		after = true
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	<-done
+	if returned || after {
+		t.Errorf("after the Goexit: Run returned %v, process went on %v; want neither", returned, after)
+	}
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), `process "exits" called runtime.Goexit`) {
+		t.Errorf("Err() = %v, want the Goexit recorded", err)
+	}
+	e.Close()
+	if !unwound {
+		t.Error("Close did not unwind the parked process")
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("goroutines after Close = %d, want at most %d", n, base)
+	}
+}
+
+// Close ends a process even when it recovers the unwinding panic: the
+// process function returns, and its carrier ends with it.
+func TestCloseEndsProcessThatRecovers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine(1)
+	var recovered any
+	after := false
+	e.GoDaemon("recoverer", func(p *Proc) {
+		defer func() { recovered = recover() }()
+		NewSignal(e).Wait(p)
+		after = true
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if recovered != (unwind{}) || after {
+		t.Errorf("recovered %v, went on after the wait %v; want unwind{}, false", recovered, after)
+	}
+	if e.Live() != 0 {
+		t.Errorf("Live() = %d after Close", e.Live())
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("goroutines after Close = %d, want at most %d", n, base)
+	}
+}
+
 // BenchmarkEngineEventThroughput measures the kernel's raw event rate:
-// how many process wake/sleep handoffs per second the simulator sustains.
+// how many process wake/sleep switches per second the simulator sustains.
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

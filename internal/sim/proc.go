@@ -1,12 +1,9 @@
 package sim
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Proc is a simulation process: a function that runs cooperatively under
-// the engine on a carrier goroutine. Blocking methods (Sleep, and the
+// the engine on a carrier coroutine. Blocking methods (Sleep, and the
 // queue/semaphore operations that take a *Proc) suspend the process and
 // pass control on until the wakeup condition fires.
 //
@@ -46,23 +43,24 @@ func (p *Proc) Now() Time { return p.engine.now }
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// block gives up control until the process is resumed. The process's own
-// goroutine runs the dispatch loop; when the next process to resume is
-// this one, block just returns.
+// block gives up control until the process is resumed. The process runs
+// the dispatch step itself: when the next process to resume is this one,
+// block just returns; otherwise it yields that process to the dispatch
+// loop. When Close stops the carrier, or the engine is already closed (a
+// deferred call tried to wait while Close unwinds p), block panics with
+// unwind, which the carrier recovers.
 func (p *Proc) block() {
 	e := p.engine
 	if e.closed {
-		runtime.Goexit() // a deferred call tried to wait while Close unwinds p
+		panic(unwind{})
 	}
 	q := e.next()
 	if q == p {
 		return
 	}
-	c := p.c
-	e.handoff(q)
-	<-c.wake
-	if e.closed {
-		runtime.Goexit()
+	e.pending = q
+	if !p.c.yield(struct{}{}) {
+		panic(unwind{})
 	}
 }
 
@@ -122,13 +120,44 @@ type waiter struct {
 	gen uint64
 }
 
-// waitList is a FIFO of waiters.
-type waitList struct{ fifo[waiter] }
+// waitList is a FIFO of waiters. The head waiter sits inline, so the
+// first park on a fresh Signal, Future or Proc allocates nothing; the
+// overflow behind it is allocated when a second waiter arrives, and kept.
+// The overflow is empty whenever the head slot is.
+type waitList struct {
+	first waiter // the head, when first.p != nil
+	rest  *fifo[waiter]
+}
+
+func (l *waitList) push(w waiter) {
+	if l.first.p == nil {
+		l.first = w
+		return
+	}
+	if l.rest == nil {
+		l.rest = &fifo[waiter]{}
+	}
+	l.rest.push(w)
+}
+
+// pop removes the head waiter; ok is false when the list is empty.
+func (l *waitList) pop() (w waiter, ok bool) {
+	w = l.first
+	if w.p == nil {
+		return w, false
+	}
+	l.first = waiter{}
+	if l.rest != nil && l.rest.len() > 0 {
+		l.first = l.rest.pop()
+	}
+	return w, true
+}
 
 // wakeOne resumes the first waiter whose park is still live.
 func (l *waitList) wakeOne(e *Engine) {
-	for l.len() > 0 {
-		if e.wakeWaiter(l.pop()) {
+	for {
+		w, ok := l.pop()
+		if !ok || e.wakeWaiter(w) {
 			return
 		}
 	}
@@ -136,9 +165,15 @@ func (l *waitList) wakeOne(e *Engine) {
 
 // wakeAll resumes every live waiter in the list.
 func (l *waitList) wakeAll(e *Engine) {
-	for _, w := range l.s[l.head:] {
-		e.wakeWaiter(w)
+	if l.first.p != nil {
+		e.wakeWaiter(l.first)
+		l.first = waiter{}
 	}
-	clear(l.s)
-	l.s, l.head = l.s[:0], 0
+	if r := l.rest; r != nil {
+		for _, w := range r.s[r.head:] {
+			e.wakeWaiter(w)
+		}
+		clear(r.s)
+		r.s, r.head = r.s[:0], 0
+	}
 }

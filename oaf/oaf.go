@@ -384,6 +384,13 @@ func (c *Cluster) RunUntil(limit time.Duration, fn func(ctx *Ctx) error) error {
 	return appErr
 }
 
+// Close ends the cluster's simulation. The processes still parked when
+// Run returns (connection handlers, device servers, keep-alive timers)
+// unwind, so a closed cluster leaves no goroutine behind. Call it once Run
+// or RunUntil has returned; the cluster must not be used afterwards. Close
+// is idempotent.
+func (c *Cluster) Close() { c.engine.Close() }
+
 func firstHost(c *Cluster) string {
 	for name := range c.hosts {
 		return name

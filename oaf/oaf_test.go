@@ -12,6 +12,7 @@ import (
 func cluster(t *testing.T) *oaf.Cluster {
 	t.Helper()
 	c := oaf.NewCluster(oaf.Config{Seed: 1})
+	t.Cleanup(c.Close)
 	if err := c.AddHost("hostA"); err != nil {
 		t.Fatal(err)
 	}
