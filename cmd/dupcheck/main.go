@@ -3,24 +3,30 @@
 // and fails when the same >40-line block appears in two different
 // non-test files. The extraction's whole point is that the transport
 // bindings share the engine instead of carrying private copies of it;
-// this gate keeps copy-paste from growing back.
+// this gate keeps copy-paste from growing back. It also fails when a
+// non-test Go file under the working directory, outside internal/stack
+// and the binding packages, calls tcp., core. or rdma. NewServer/Connect:
+// topologies build their stacks through internal/stack only.
 //
-// Usage:
+// Usage (from the module root):
 //
 //	go run ./cmd/dupcheck [-window N] [dirs...]
 //
 // Defaults to -window 41 (i.e. flag clones longer than 40 lines) over
 // internal/core, internal/tcp, internal/rdma, internal/session. Also
 // prints a per-file LoC table so refactors can report net line deltas.
-// Exit status 1 when any cross-file clone is found.
+// Exit status 1 when any cross-file clone or direct binding construction
+// is found.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -106,6 +112,10 @@ func main() {
 	}
 	fmt.Printf("%-40s %8d\n", "total", total)
 
+	direct := directBindings(".")
+	for _, d := range direct {
+		fmt.Fprintf(os.Stderr, "dupcheck: binding built outside internal/stack: %s\n", d)
+	}
 	if len(clones) > 0 {
 		keys := make([]string, 0, len(clones))
 		for k := range clones {
@@ -116,9 +126,49 @@ func main() {
 		for _, k := range keys {
 			fmt.Fprintf(os.Stderr, "  %s\n", k)
 		}
+	}
+	if len(clones)+len(direct) > 0 {
 		os.Exit(1)
 	}
 	fmt.Printf("dupcheck: no cross-file clones of >=%d normalized lines\n", *window)
+}
+
+// bindingCall matches a direct construction of a binding server or client.
+var bindingCall = regexp.MustCompile(`\b(tcp|core|rdma)\.(NewServer|Connect)\(`)
+
+// directBindings lists every non-test Go line under root, outside the
+// stack builder and the binding packages, that matches bindingCall.
+func directBindings(root string) []string {
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir():
+			switch filepath.ToSlash(path) {
+			case "internal/stack", "internal/core", "internal/tcp", "internal/rdma":
+				return filepath.SkipDir
+			}
+		case strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range strings.Split(string(raw), "\n") {
+				if bindingCall.MatchString(normalize(line)) {
+					out = append(out, fmt.Sprintf("%s:%d", path, i+1))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dupcheck: %v\n", err)
+		os.Exit(2)
+	}
+	return out
 }
 
 // normalize strips comments and whitespace so a clone is flagged even

@@ -12,16 +12,14 @@ import (
 	"log"
 	"math/rand"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/blockfs"
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/kvstore"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
-	"nvmeoaf/internal/transport"
+	"nvmeoaf/internal/stack"
 )
 
 const (
@@ -35,39 +33,25 @@ const (
 // engine.
 func build(useSHM bool, seed int64) (*sim.Engine, func(p *sim.Proc) *kvstore.Store) {
 	e := sim.NewEngine(seed)
-	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem("nqn.kv")
+	m, err := stack.NewMachine(e, stack.NewTarget(e), "nqn.kv", stack.Disk{
+		Name: "kv", Capacity: capacity, SSD: model.DefaultSSD(), Retain: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "kv", capacity, model.DefaultSSD(), true, transport.BlockSize)); err != nil {
-		log.Fatal(err)
-	}
+	b := stack.Binding{Kind: stack.TCP25G, TP: model.DefaultTCPTransport()}
+	var fabric *core.Fabric
+	var region *shm.Region
 	if useSHM {
-		fabric := core.NewFabric(e, model.DefaultSHM())
-		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: "nqn.kv", Design: core.DesignSHMZeroCopy, Fabric: fabric,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		})
-		link := netsim.NewLoopLink(e, model.Loopback())
-		srv.Serve(link.B)
-		region, _ := fabric.RegionFor(core.DesignSHMZeroCopy, "h", "h", 1<<20, 128<<10, 32)
-		return e, func(p *sim.Proc) *kvstore.Store {
-			c, err := core.Connect(p, link.A, core.ClientConfig{
-				NQN: "nqn.kv", QueueDepth: 32, Design: core.DesignSHMZeroCopy, Region: region,
-				TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			return kvstore.Open(blockfs.New(e, c, capacity), kvstore.Config{GroupCommitBytes: 64 << 10})
-		}
+		b.Kind, b.Design = stack.OAF, core.DesignSHMZeroCopy
+		fabric = core.NewFabric(e, model.DefaultSHM())
+		region, _ = fabric.RegionFor(b.Design, "h", "h", 1<<20, 128<<10, 32)
 	}
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: "nqn.kv", TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
-	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
+	lp, _ := stack.Link(b.Kind, model.Loopback()) // a known kind: no error
+	link := netsim.NewLoopLink(e, lp)
+	stack.Serve(e, m, link.B, stack.ServerConfig{Binding: b, SHM: fabric})
 	return e, func(p *sim.Proc) *kvstore.Store {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{NQN: "nqn.kv", QueueDepth: 32, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+		c, _, err := stack.Dial(p, link.A, stack.ClientConfig{Binding: b, NQN: m.NQN, QueueDepth: 32, Region: region})
 		if err != nil {
 			log.Fatal(err)
 		}

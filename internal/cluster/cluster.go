@@ -40,6 +40,16 @@ type Member struct {
 	Queue transport.Queue
 }
 
+// Fail-fast defaults of member connections and probing: the replication
+// layer owns redundancy, so a dead member should fail over quickly
+// rather than hide behind a long per-member retry loop.
+const (
+	MemberCommandTimeout = 500 * time.Microsecond
+	MemberMaxRetries     = 1
+	MemberRetryBackoff   = 100 * time.Microsecond
+	MemberProbeInterval  = 200 * time.Microsecond
+)
+
 // Options configures a replicated namespace.
 type Options struct {
 	// Seats is N, the number of data-bearing targets the namespace is

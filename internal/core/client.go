@@ -33,8 +33,6 @@ type ClientConfig struct {
 	TP model.TCPTransportParams
 	// Host holds client software costs.
 	Host model.HostParams
-	// HostNQN identifies this host in the Fabrics Connect command.
-	HostNQN string
 
 	// CommandTimeout is the per-command deadline. A command not completed
 	// by then is torn down, retried (bounded), and finally failed with
@@ -120,7 +118,6 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	h := session.NewHost(e, ep, session.HostConfig{
 		Label:            "oaf",
 		NQN:              cfg.NQN,
-		HostNQN:          cfg.HostNQN,
 		QueueDepth:       cfg.QueueDepth,
 		Host:             cfg.Host,
 		BatchSize:        cfg.TP.BatchSize,

@@ -4,20 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/cluster"
-	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
-	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
-	"nvmeoaf/internal/telemetry"
-	"nvmeoaf/internal/transport"
+	"nvmeoaf/internal/stack"
 )
 
 // Cluster experiments model the paper's HPC-cloud deployment one level
@@ -31,111 +24,6 @@ import (
 // nqnCluster names member i's storage service.
 func nqnCluster(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:cluster%d", i) }
 
-// clusterMember is one member target machine: its fabric server (for
-// crash injection) and the client-side connection feeding the router.
-type clusterMember struct {
-	srv  faults.Crashable
-	q    transport.Queue
-	link *netsim.Link
-}
-
-// serveMember builds member i's target machine — target, SSD, NIC, link,
-// and fabric server — for the configured fabric kind.
-func serveMember(e *sim.Engine, cfg Config, i int, tel *telemetry.Sink, res *Result, tgtSh *qos.Shaper) (*clusterMember, error) {
-	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(nqnCluster(i))
-	if err != nil {
-		return nil, err
-	}
-	bd := bdev.NewSimSSD(e, fmt.Sprintf("cnvme%d", i), cfg.SSDCapacity, cfg.SSD, cfg.RetainData, transport.BlockSize)
-	if _, err := sub.AddNamespace(1, bd); err != nil {
-		return nil, err
-	}
-	res.Devices = append(res.Devices, bd)
-
-	var linkParams model.LinkParams
-	switch cfg.Kind {
-	case TCP10G:
-		linkParams = model.TCP10G()
-	case TCP25G:
-		linkParams = model.TCP25G()
-	case TCP100G:
-		linkParams = model.TCP100G()
-	case RDMA56, OAFRDMACtl:
-		linkParams = rdma.LinkParams(model.RDMA56G())
-	case RoCE100:
-		linkParams = rdma.LinkParams(model.RoCE100G())
-	case OAF:
-		linkParams = model.TCP100G() // members are remote: no loopback SHM
-	default:
-		return nil, fmt.Errorf("exp: unknown fabric %q", cfg.Kind)
-	}
-	// One NIC per member: target machines are distinct hosts, so fabric
-	// bandwidth scales with the member count (the client NIC is modeled
-	// per link; the aggregate client side is not the bottleneck under
-	// study here).
-	nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
-	link := netsim.NewLink(e, linkParams, nic, nic)
-
-	m := &clusterMember{link: link}
-	switch cfg.Kind {
-	case RDMA56, RoCE100:
-		srv := rdma.NewServer(e, tgt, rdma.ServerConfig{NQN: nqnCluster(i), Params: rdmaParams(cfg), Host: model.DefaultHost(), QoS: tgtSh})
-		srv.Serve(link.B)
-		m.srv = srv
-	case OAF, OAFRDMACtl:
-		fabric := core.NewFabric(e, model.DefaultSHM())
-		fabric.AttachTelemetry(tel)
-		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: nqnCluster(i), Design: cfg.Design, Fabric: fabric,
-			TP: cfg.TP, Host: model.DefaultHost(), Telemetry: tel,
-			QoS: tgtSh,
-		})
-		srv.Serve(link.B)
-		res.PoolFootprint += srv.Pool().FootprintBytes()
-		m.srv = srv
-	default:
-		srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: nqnCluster(i), TP: cfg.TP, Host: model.DefaultHost(), Telemetry: tel, QoS: tgtSh})
-		srv.Serve(link.B)
-		res.PoolFootprint += srv.Pool().FootprintBytes()
-		m.srv = srv
-	}
-	return m, nil
-}
-
-// connectMember opens member i's client connection. Commands fail fast
-// with typed errors — the replication layer owns redundancy, so a dead
-// member should trigger failover, not a long per-member retry loop.
-func connectMember(p *sim.Proc, cfg Config, i int, m *clusterMember, qd int, tel *telemetry.Sink, tenant string, hostSh *qos.Shaper) (transport.Queue, error) {
-	const (
-		cmdTimeout = 500 * time.Microsecond
-		maxRetries = 1
-		backoff    = 100 * time.Microsecond
-	)
-	switch cfg.Kind {
-	case RDMA56, RoCE100:
-		return rdma.Connect(p, m.link.A, rdma.ClientConfig{
-			NQN: nqnCluster(i), QueueDepth: qd, Params: rdmaParams(cfg), Host: model.DefaultHost(),
-			CommandTimeout: cmdTimeout, MaxRetries: maxRetries, RetryBackoff: backoff,
-			Tenant: tenant, QoS: hostSh,
-		})
-	case OAF, OAFRDMACtl:
-		return core.Connect(p, m.link.A, core.ClientConfig{
-			NQN: nqnCluster(i), QueueDepth: qd, Design: cfg.Design,
-			TP: cfg.TP, Host: model.DefaultHost(), Telemetry: tel,
-			CommandTimeout: cmdTimeout, MaxRetries: maxRetries, RetryBackoff: backoff,
-			Tenant: tenant, QoS: hostSh,
-		})
-	default:
-		return tcp.Connect(p, m.link.A, tcp.ClientConfig{
-			NQN: nqnCluster(i), QueueDepth: qd, TP: cfg.TP, Host: model.DefaultHost(),
-			Telemetry:      tel,
-			CommandTimeout: cmdTimeout, MaxRetries: maxRetries, RetryBackoff: backoff,
-			Tenant: tenant, QoS: hostSh,
-		})
-	}
-}
-
 // runCluster executes a replicated-namespace configuration: N member
 // targets, one router, one perf stream.
 func runCluster(cfg Config) (*Result, error) {
@@ -146,9 +34,6 @@ func runCluster(cfg Config) (*Result, error) {
 	e := sim.NewEngine(cfg.Seed)
 	defer e.Close()
 	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.New()
-	}
 	res := &Result{Telemetry: tel}
 	// Cluster runs drive one logical stream, so one tenant (the first)
 	// covers all router traffic; the replica fan-out marks every copy
@@ -158,13 +43,33 @@ func runCluster(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	members := make([]*clusterMember, n)
-	for i := 0; i < n; i++ {
-		m, err := serveMember(e, cfg, i, tel, res, tgtSh)
+	// Members are remote: an adaptive member has no loopback path and
+	// rides TCP-100G.
+	linkParams, err := stack.Link(cfg.Kind, model.TCP100G())
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
+	}
+	b := stack.Binding{Kind: cfg.Kind, Design: cfg.Design, TP: cfg.TP, RDMA: cfg.RDMA, Telemetry: tel}
+	links := make([]*netsim.Link, n)
+	machines := make([]*stack.Machine, n)
+	for i := range links {
+		m, err := stack.NewMachine(e, stack.NewTarget(e), nqnCluster(i), stack.Disk{
+			Name: fmt.Sprintf("cnvme%d", i), Capacity: cfg.SSDCapacity, SSD: cfg.SSD, Retain: cfg.RetainData,
+		})
 		if err != nil {
 			return nil, err
 		}
-		members[i] = m
+		machines[i] = m
+		res.Devices = append(res.Devices, m.SSD)
+		// One NIC per member: target machines are distinct hosts, so
+		// fabric bandwidth scales with the member count (the client NIC
+		// is modeled per link; the aggregate client side is not the
+		// bottleneck under study here).
+		nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
+		links[i] = netsim.NewLink(e, linkParams, nic, nic)
+		if _, pool := stack.Serve(e, m, links[i].B, stack.ServerConfig{Binding: b, QoS: tgtSh}); pool != nil {
+			res.PoolFootprint += pool.FootprintBytes()
+		}
 	}
 
 	var inj *faults.Injector
@@ -173,7 +78,7 @@ func runCluster(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("exp: crash member %d out of range", cfg.CrashMember)
 		}
 		inj = faults.NewInjector(e)
-		inj.CrashTarget(members[cfg.CrashMember].srv, cfg.CrashAt, cfg.CrashDown)
+		inj.CrashTarget(machines[cfg.CrashMember], cfg.CrashAt, cfg.CrashDown)
 	}
 
 	w := cfg.Workload
@@ -185,20 +90,27 @@ func runCluster(cfg Config) (*Result, error) {
 	setupErr := sim.NewFuture[error](e)
 	e.Go("setup", func(p *sim.Proc) {
 		cms := make([]cluster.Member, 0, n)
-		for i, m := range members {
-			q, err := connectMember(p, cfg, i, m, w.QueueDepth, tel, cfg.TenantFor(0).Name, hostSh)
+		for i, link := range links {
+			// Commands fail fast with typed errors: the replication layer
+			// owns redundancy, so a dead member should trigger failover,
+			// not a long per-member retry loop.
+			q, _, err := stack.Dial(p, link.A, stack.ClientConfig{
+				Binding: b, NQN: nqnCluster(i), QueueDepth: w.QueueDepth,
+				CommandTimeout: cluster.MemberCommandTimeout, MaxRetries: cluster.MemberMaxRetries,
+				RetryBackoff: cluster.MemberRetryBackoff,
+				Tenant:       cfg.TenantFor(0).Name, QoS: hostSh,
+			})
 			if err != nil {
 				setupErr.Resolve(err)
 				return
 			}
-			m.q = q
 			cms = append(cms, cluster.Member{Name: nqnCluster(i), Queue: q})
 		}
 		// Keep-alive probing only matters when a member can die; pure
 		// perf runs skip the probe traffic.
 		var probe time.Duration
 		if cfg.CrashDown > 0 {
-			probe = 200 * time.Microsecond
+			probe = cluster.MemberProbeInterval
 		}
 		var err error
 		cl, err = cluster.New(e, cms, cluster.Options{
@@ -235,8 +147,8 @@ func runCluster(cfg Config) (*Result, error) {
 
 	res.PerStream = append(res.PerStream, stream.Result())
 	res.Agg = perf.Merge(res.PerStream...)
-	for _, m := range members {
-		res.WireBytes += m.link.A.BytesSent + m.link.B.BytesSent
+	for _, l := range links {
+		res.WireBytes += l.A.BytesSent + l.B.BytesSent
 	}
 	st := cl.Stats()
 	res.Cluster = &st

@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"nvmeoaf/internal/bdev"
@@ -21,37 +20,28 @@ import (
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
 	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
+	"nvmeoaf/internal/stack"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 	"nvmeoaf/internal/tune"
 )
 
-// Kind names a fabric under test.
-type Kind string
+// Kind names a fabric under test (see internal/stack).
+type Kind = stack.Kind
 
 // The evaluated fabrics.
 const (
-	TCP10G  Kind = "tcp-10g"
-	TCP25G  Kind = "tcp-25g"
-	TCP100G Kind = "tcp-100g"
-	RDMA56  Kind = "rdma-ib56"
-	RoCE100 Kind = "roce-100g"
-	OAF     Kind = "nvme-oaf"
-	// OAFRDMACtl is the paper's future-work variant (§5.5, §8): the
-	// adaptive fabric's control plane runs over an intra-node RDMA path
-	// instead of loopback TCP, attacking the control-message overhead
-	// that dominates oAF at small I/O sizes.
-	OAFRDMACtl Kind = "nvme-oaf-rdmactl"
+	TCP10G     = stack.TCP10G
+	TCP25G     = stack.TCP25G
+	TCP100G    = stack.TCP100G
+	RDMA56     = stack.RDMA56
+	RoCE100    = stack.RoCE100
+	OAF        = stack.OAF
+	OAFRDMACtl = stack.OAFRDMACtl
 )
-
-// AllTCP lists the Ethernet fabrics in speed order.
-func AllTCP() []Kind { return []Kind{TCP10G, TCP25G, TCP100G} }
 
 // Config describes one experiment run.
 type Config struct {
@@ -171,7 +161,10 @@ func (c Config) withDefaults() Config {
 	if c.Kind == "" {
 		c.Kind = OAF
 	}
-	if (c.Kind == OAF || c.Kind == OAFRDMACtl) && c.Design == core.DesignTCP {
+	if c.Telemetry == nil {
+		c.Telemetry = telemetry.New()
+	}
+	if c.Kind.Adaptive() && c.Design == core.DesignTCP {
 		c.Design = core.DesignSHMZeroCopy
 	}
 	return c
@@ -275,18 +268,7 @@ func (c Config) TenantFor(i int) TenantSpec {
 
 // tpFor resolves stream i's transport knobs: the tenant's SLO steers
 // busy-poll and batching where the run config left them unset.
-func (c Config) tpFor(i int) model.TCPTransportParams {
-	tp := c.TP
-	if bp, batch, ok := c.TenantFor(i).SLO.ReceiveTuning(); ok {
-		if tp.BusyPoll == 0 {
-			tp.BusyPoll = bp
-		}
-		if tp.BatchSize == 0 {
-			tp.BatchSize = batch
-		}
-	}
-	return tp
-}
+func (c Config) tpFor(i int) model.TCPTransportParams { return c.TenantFor(i).SLO.Steer(c.TP) }
 
 // qosShapers builds the run's enforcement points from Config.Tenants.
 func (c Config) qosShapers(tel *telemetry.Sink) (host, tgt *qos.Shaper, err error) {
@@ -327,17 +309,6 @@ func (res *Result) finishQoS(host, tgt *qos.Shaper) {
 	}
 }
 
-// rdmaParams resolves the RDMA parameter set for a configuration.
-func rdmaParams(cfg Config) model.RDMAParams {
-	if cfg.RDMA != nil {
-		return *cfg.RDMA
-	}
-	if cfg.Kind == RoCE100 {
-		return model.RoCE100G()
-	}
-	return model.RDMA56G()
-}
-
 // nqnFor names the per-SSD storage service.
 func nqnFor(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:ssd%d", i) }
 
@@ -352,115 +323,69 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e := sim.NewEngine(cfg.Seed)
 	defer e.Close()
-	tgt := target.New(e, model.DefaultHost())
-
+	tgt := stack.NewTarget(e)
 	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.New()
-	}
 	res := &Result{Telemetry: tel}
 	hostSh, tgtSh, err := cfg.qosShapers(tel)
 	if err != nil {
 		return nil, err
 	}
-	var pools []*mempool.Pool
-	for i := 0; i < cfg.Streams; i++ {
-		sub, err := tgt.AddSubsystem(nqnFor(i))
+	machines := make([]*stack.Machine, cfg.Streams)
+	for i := range machines {
+		m, err := stack.NewMachine(e, tgt, nqnFor(i), stack.Disk{
+			Name: fmt.Sprintf("nvme%d", i), Capacity: cfg.SSDCapacity, SSD: cfg.SSD, Retain: cfg.RetainData,
+			CacheBytes: cfg.CacheBytes, CacheMode: cfg.CacheMode, Telemetry: tel,
+		})
 		if err != nil {
 			return nil, err
 		}
-		bd := bdev.NewSimSSD(e, fmt.Sprintf("nvme%d", i), cfg.SSDCapacity, cfg.SSD, cfg.RetainData, transport.BlockSize)
-		var dev bdev.Device = bd
-		if cfg.CacheBytes > 0 {
-			ca := cache.New(e, bd, cache.Config{
-				Bytes: cfg.CacheBytes, Mode: cfg.CacheMode,
-				Retain: cfg.RetainData, Telemetry: tel,
-			})
-			res.Caches = append(res.Caches, ca)
-			dev = ca
+		machines[i] = m
+		res.Devices = append(res.Devices, m.SSD)
+		if m.Cache != nil {
+			res.Caches = append(res.Caches, m.Cache)
 		}
-		if _, err := sub.AddNamespace(1, dev); err != nil {
-			return nil, err
-		}
-		res.Devices = append(res.Devices, bd)
 	}
 
 	// One shared physical NIC: all client and target VMs sit on the same
 	// host; SR-IOV traffic hairpins through it (§3.1, §5.1).
-	var links []*netsim.Link
-	var linkParams model.LinkParams
-	switch cfg.Kind {
-	case TCP10G:
-		linkParams = model.TCP10G()
-	case TCP25G:
-		linkParams = model.TCP25G()
-	case TCP100G:
-		linkParams = model.TCP100G()
-	case RDMA56:
-		linkParams = rdma.LinkParams(model.RDMA56G())
-	case RoCE100:
-		linkParams = rdma.LinkParams(model.RoCE100G())
-	case OAF:
-		linkParams = model.Loopback()
-	case OAFRDMACtl:
-		linkParams = rdma.LinkParams(model.RDMA56G())
-	default:
-		return nil, fmt.Errorf("exp: unknown fabric %q", cfg.Kind)
+	linkParams, err := stack.Link(cfg.Kind, model.Loopback())
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
 	// One link (and server connection, and region for OAF) per queue pair:
 	// link i*Queues+j is stream i's member queue j.
+	//
+	// Each connection's server is retained so the tuner can drive the
+	// target-side reap-coalescing depth in lockstep with the host-side
+	// batch knob.
 	nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
 	nConns := cfg.Streams * cfg.Queues
-	for i := 0; i < nConns; i++ {
-		links = append(links, netsim.NewLink(e, linkParams, nic, nic))
-	}
-
-	// Fabric servers + shared-memory provisioning. Each connection's
-	// server is retained so the tuner can drive the target-side
-	// reap-coalescing depth in lockstep with the host-side batch knob.
+	links := make([]*netsim.Link, nConns)
 	var fabric *core.Fabric
-	var regions []*shm.Region
-	servers := make([]*session.Target, nConns)
-	switch cfg.Kind {
-	case RDMA56, RoCE100:
-		prm := rdmaParams(cfg)
-		for i := 0; i < nConns; i++ {
-			srv := rdma.NewServer(e, tgt, rdma.ServerConfig{
-				NQN: nqnFor(i / cfg.Queues), Params: prm, Host: model.DefaultHost(),
-				BatchSize: cfg.tpFor(i / cfg.Queues).BatchSize, Telemetry: tel,
-				QoS: tgtSh,
-			})
-			srv.Serve(links[i].B)
-			servers[i] = srv.Target
-		}
-	case OAF, OAFRDMACtl:
+	if cfg.Kind.Adaptive() {
 		fabric = core.NewFabric(e, model.DefaultSHM())
 		fabric.AttachTelemetry(tel)
-		for i := 0; i < nConns; i++ {
-			srv := core.NewServer(e, tgt, core.ServerConfig{
-				NQN: nqnFor(i / cfg.Queues), Design: cfg.Design, Fabric: fabric,
-				TP: cfg.tpFor(i / cfg.Queues), Host: model.DefaultHost(), Telemetry: tel,
-				QoS: tgtSh,
-			})
-			srv.Serve(links[i].B)
-			servers[i] = srv.Target
-			res.PoolFootprint += srv.Pool().FootprintBytes()
-			pools = append(pools, srv.Pool())
-			region, err := fabric.RegionFor(cfg.Design, "host0", "host0", cfg.MaxIO, cfg.TP.ChunkSize, cfg.Workload.QueueDepth)
-			if err != nil {
-				// SHM provisioning failed: this pair degrades to the TCP
-				// data path (the trace records the decision).
-				region = nil
-			}
-			regions = append(regions, region)
+	}
+	binding := func(stream int) stack.Binding {
+		return stack.Binding{Kind: cfg.Kind, Design: cfg.Design, TP: cfg.tpFor(stream), RDMA: cfg.RDMA, Telemetry: tel}
+	}
+	servers := make([]*session.Target, nConns)
+	regions := make([]*shm.Region, nConns)
+	var pools []*mempool.Pool
+	for i := range links {
+		links[i] = netsim.NewLink(e, linkParams, nic, nic)
+		var pool *mempool.Pool
+		servers[i], pool = stack.Serve(e, machines[i/cfg.Queues], links[i].B, stack.ServerConfig{
+			Binding: binding(i / cfg.Queues), SHM: fabric, QoS: tgtSh,
+		})
+		if pool != nil {
+			res.PoolFootprint += pool.FootprintBytes()
+			pools = append(pools, pool)
 		}
-	default: // TCP kinds
-		for i := 0; i < nConns; i++ {
-			srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: nqnFor(i / cfg.Queues), TP: cfg.tpFor(i / cfg.Queues), Host: model.DefaultHost(), Telemetry: tel, QoS: tgtSh})
-			srv.Serve(links[i].B)
-			servers[i] = srv.Target
-			res.PoolFootprint += srv.Pool().FootprintBytes()
-			pools = append(pools, srv.Pool())
+		if fabric != nil {
+			// A failed provision leaves the pair on the TCP data path
+			// (the trace records the decision).
+			regions[i], _ = fabric.RegionFor(cfg.Design, "host0", "host0", cfg.MaxIO, cfg.TP.ChunkSize, cfg.Workload.QueueDepth)
 		}
 	}
 
@@ -486,7 +411,6 @@ func Run(cfg Config) (*Result, error) {
 			// run's sink like every other subsystem.
 			w.Telemetry = tel
 			ts := cfg.TenantFor(i)
-			tenant := ts.Name
 			if ts.QueueDepth > 0 {
 				w.QueueDepth = ts.QueueDepth
 			}
@@ -496,72 +420,26 @@ func Run(cfg Config) (*Result, error) {
 					w.IOSize = pat.IOSize
 				}
 			}
-			stp := cfg.tpFor(i)
 			members := make([]transport.Queue, 0, cfg.Queues)
 			for j := 0; j < cfg.Queues; j++ {
 				li := i*cfg.Queues + j
-				switch cfg.Kind {
-				case RDMA56, RoCE100:
-					prm := rdmaParams(cfg)
-					c, err := rdma.Connect(p, links[li].A, rdma.ClientConfig{
-						NQN: nqnFor(i), QueueDepth: w.QueueDepth, Params: prm, Host: model.DefaultHost(),
-						BatchSize: stp.BatchSize, Telemetry: tel,
-						RegCache: cfg.RDMARegCache, Merge: cfg.RDMAMerge, DynDoorbell: cfg.RDMADynDoorbell,
-						Tenant: tenant, QoS: hostSh,
-					})
-					if err != nil {
-						setupErr.Resolve(err)
-						return
-					}
-					members = append(members, c)
-				case OAF, OAFRDMACtl:
-					c, err := core.Connect(p, links[li].A, core.ClientConfig{
-						NQN: nqnFor(i), QueueDepth: w.QueueDepth, Design: cfg.Design,
-						Region: regions[li], TP: stp, Host: model.DefaultHost(),
-						Telemetry: tel,
-						Tenant:    tenant, QoS: hostSh,
-					})
-					if err != nil {
-						setupErr.Resolve(err)
-						return
-					}
-					oafClients = append(oafClients, c)
-					members = append(members, c)
-				default:
-					c, err := tcp.Connect(p, links[li].A, tcp.ClientConfig{
-						NQN: nqnFor(i), QueueDepth: w.QueueDepth, TP: stp, Host: model.DefaultHost(),
-						Telemetry: tel,
-						Tenant:    tenant, QoS: hostSh,
-					})
-					if err != nil {
-						setupErr.Resolve(err)
-						return
-					}
-					members = append(members, c)
+				q, _, err := stack.Dial(p, links[li].A, stack.ClientConfig{
+					Binding: binding(i), NQN: nqnFor(i), QueueDepth: w.QueueDepth, Region: regions[li],
+					Tenant: ts.Name, QoS: hostSh,
+					RegCache: cfg.RDMARegCache, Merge: cfg.RDMAMerge, DynDoorbell: cfg.RDMADynDoorbell,
+				})
+				if err != nil {
+					setupErr.Resolve(err)
+					return
 				}
-				if cfg.Tune {
-					// Every client kind exposes the live-knob surface
-					// through its embedded session engine; TCP-path
-					// clients add the chunk knob via ChunkTunable. The
-					// batch knob drives both halves of the connection:
-					// host-side submission coalescing and target-side
-					// completion-reap coalescing move together, as they
-					// do for a statically configured TP.BatchSize.
-					if tq, ok := members[len(members)-1].(tune.TunableQueue); ok {
-						qk := tune.QueueKnobs(fmt.Sprintf("s%d/q%d", i, j), tq)
-						if srv := servers[li]; srv != nil {
-							for n := range qk {
-								if strings.HasSuffix(qk[n].Name, "/batch") {
-									set := qk[n].Set
-									qk[n].Set = func(v int64) {
-										set(v)
-										srv.SetBatchSize(int(v))
-									}
-								}
-							}
-						}
-						knobs = append(knobs, qk...)
-					}
+				if c, ok := q.(*core.Client); ok {
+					oafClients = append(oafClients, c)
+				}
+				members = append(members, q)
+				// Every client kind exposes the live-knob surface through
+				// its session engine; TCP-path clients add the chunk knob.
+				if tq, ok := q.(tune.TunableQueue); ok && cfg.Tune {
+					knobs = append(knobs, tune.QueueKnobs(fmt.Sprintf("s%d/q%d", i, j), tq, servers[li])...)
 				}
 			}
 			var q transport.Queue = members[0]

@@ -3,19 +3,15 @@ package exp
 import (
 	"fmt"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/blockfs"
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/h5bench"
 	"nvmeoaf/internal/hdf5"
 	"nvmeoaf/internal/model"
-	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nfs"
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
-	"nvmeoaf/internal/transport"
+	"nvmeoaf/internal/stack"
 	"nvmeoaf/internal/vol"
 )
 
@@ -46,46 +42,21 @@ type H5Config struct {
 	VOL vol.Config
 }
 
-// node is one physical host in a topology.
-type node struct {
-	name string
-	nic  *netsim.NIC // external network port
-	loop *netsim.NIC // intra-node vswitch path
-}
-
-func newNode(e *sim.Engine, name string) *node {
-	return &node{
-		name: name,
-		nic:  netsim.NewNIC(e, model.TCP25G().WireBytesPerSec),
-		loop: netsim.NewNIC(e, model.Loopback().WireBytesPerSec),
-	}
-}
-
 // h5Storage builds the storage stack for one kernel: a dedicated SSD
 // behind the chosen backend. It returns the mounted hdf5.Storage plus a
 // remount function that yields a fresh mount with cold caches (the read
 // kernel runs against a fresh mount, as h5bench does).
-func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targetNode *node,
+func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targetNode *stack.Host,
 	cfg H5Config, idx int) (hdf5.Storage, func(p *sim.Proc) hdf5.Storage, error) {
 	const capacity = 4 << 30
-	nqn := fmt.Sprintf("nqn.2022-06.io.oaf:h5-%s-%d", clientNode.name, idx)
-	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(nqn)
+	m, err := stack.NewMachine(e, stack.NewTarget(e), fmt.Sprintf("nqn.2022-06.io.oaf:h5-%s-%d", clientNode.Name, idx), stack.Disk{
+		Name: fmt.Sprintf("h5-nvme-%s-%d", clientNode.Name, idx), Capacity: capacity, SSD: model.DefaultSSD(), Retain: true,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ssdParams := model.DefaultSSD()
-	bd := bdev.NewSimSSD(e, fmt.Sprintf("h5-nvme-%s-%d", clientNode.name, idx), capacity, ssdParams, true, transport.BlockSize)
-	if _, err := sub.AddNamespace(1, bd); err != nil {
-		return nil, nil, err
-	}
 
-	design := cfg.Design
-	if design == core.DesignTCP {
-		design = core.DesignSHMZeroCopy
-	}
-	volCfg := cfg.VOL
-
+	var kind stack.Kind
 	switch cfg.Backend {
 	case H5NFS:
 		// NFS server runs on the target node; the client mounts it over
@@ -93,60 +64,42 @@ func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targ
 		// fresh client (and server instance over the same export) so
 		// caches start cold.
 		mount := func(p *sim.Proc) hdf5.Storage {
-			link := netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
-			nfs.NewServer(e, link.B, bd, model.DefaultNFS())
+			link, _ := stack.HostLink(e, clientNode, targetNode, stack.TCP25G) // a known kind: no error
+			nfs.NewServer(e, link.B, m.SSD, model.DefaultNFS())
 			return nfs.NewClient(e, link.A, model.DefaultNFS())
 		}
 		return mount(p), mount, nil
-
 	case H5TCP:
-		link := netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
-		srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: nqn, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
-		srv.Serve(link.B)
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{NQN: nqn, QueueDepth: 64, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
-		if err != nil {
-			return nil, nil, err
-		}
-		mount := func(p *sim.Proc) hdf5.Storage {
-			return vol.New(blockfs.New(e, c, capacity), volCfg)
-		}
-		return mount(p), mount, nil
-
+		kind = stack.TCP25G
 	case H5OAF, H5OAFCoalesce:
-		intra := clientNode == targetNode
-		var link *netsim.Link
-		if intra {
-			link = netsim.NewLink(e, model.Loopback(), clientNode.loop, targetNode.loop)
-		} else {
-			link = netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
-		}
-		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: nqn, Design: design, Fabric: fabric,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		})
-		srv.Serve(link.B)
-		var region *shm.Region
-		if intra {
-			// A failed provision degrades to the TCP data path.
-			if r, err := fabric.RegionFor(design, clientNode.name, targetNode.name, 1<<20, model.DefaultTCPTransport().ChunkSize, 64); err == nil {
-				region = r
-			}
-		}
-		clientCfg := core.ClientConfig{
-			NQN: nqn, QueueDepth: 64, Design: design, Region: region,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		}
-		c, err := core.Connect(p, link.A, clientCfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		volCfg.Coalesce = cfg.Backend == H5OAFCoalesce
-		mount := func(p *sim.Proc) hdf5.Storage {
-			return vol.New(blockfs.New(e, c, capacity), volCfg)
-		}
-		return mount(p), mount, nil
+		kind = stack.OAF
+	default:
+		return nil, nil, fmt.Errorf("exp: unknown h5 backend %q", cfg.Backend)
 	}
-	return nil, nil, fmt.Errorf("exp: unknown h5 backend %q", cfg.Backend)
+
+	// The h5bench runs keep no telemetry.
+	b := stack.Binding{Kind: kind, Design: cfg.Design, TP: model.DefaultTCPTransport()}
+	if b.Design == core.DesignTCP {
+		b.Design = core.DesignSHMZeroCopy
+	}
+	link, _ := stack.HostLink(e, clientNode, targetNode, kind) // a known kind: no error
+	stack.Serve(e, m, link.B, stack.ServerConfig{Binding: b, SHM: fabric})
+	var region *shm.Region
+	if kind == stack.OAF {
+		// Remote pairs get no region; a failed provision degrades to the
+		// TCP data path.
+		region, _ = fabric.RegionFor(b.Design, clientNode.Name, targetNode.Name, 1<<20, b.TP.ChunkSize, 64)
+	}
+	c, _, err := stack.Dial(p, link.A, stack.ClientConfig{Binding: b, NQN: m.NQN, QueueDepth: 64, Region: region})
+	if err != nil {
+		return nil, nil, err
+	}
+	volCfg := cfg.VOL
+	volCfg.Coalesce = cfg.Backend == H5OAFCoalesce
+	mount := func(p *sim.Proc) hdf5.Storage {
+		return vol.New(blockfs.New(e, c, capacity), volCfg)
+	}
+	return mount(p), mount, nil
 }
 
 // H5Result is one write+read kernel pair.
@@ -160,7 +113,7 @@ func RunH5(cfg H5Config) (H5Result, error) {
 	e := sim.NewEngine(cfg.Seed)
 	defer e.Close()
 	fabric := core.NewFabric(e, model.DefaultSHM())
-	host := newNode(e, "host0")
+	host := stack.NewHost(e, "host0")
 	var out H5Result
 	var runErr error
 	e.Go("h5bench", func(p *sim.Proc) {
@@ -208,118 +161,74 @@ func RunH5Scale(scase ScaleCase, shmKernels int, seed int64) (writeGBps, readGBp
 	if shmKernels < 0 || shmKernels > 4 {
 		return 0, 0, fmt.Errorf("exp: shmKernels %d out of range", shmKernels)
 	}
+	writes, err := runH5Scale(scase, shmKernels, seed, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Read phase: a fresh engine run would lose the written files, so a
+	// second pass in a new engine writes them first (un-timed) and reads
+	// concurrently.
+	reads, err := runH5Scale(scase, shmKernels, seed+1, true)
+	if err != nil {
+		return 0, 0, err
+	}
+	return h5bench.AggregateBandwidth(writes), h5bench.AggregateBandwidth(reads), nil
+}
+
+// runH5Scale builds the scale-out topology on an engine seeded with seed
+// and runs the four kernels: their write kernels, or, when read is set,
+// quiet write kernels followed by four concurrent read kernels once every
+// file is written.
+func runH5Scale(scase ScaleCase, shmKernels int, seed int64, read bool) ([]h5bench.Result, error) {
 	e := sim.NewEngine(seed)
 	defer e.Close()
 	fabric := core.NewFabric(e, model.DefaultSHM())
-	clientNode := newNode(e, "nodeA")
-	remotes := []*node{newNode(e, "nodeB"), newNode(e, "nodeC"), newNode(e, "nodeD"), newNode(e, "nodeE")}
-
+	clientNode := stack.NewHost(e, "nodeA")
+	remotes := []*stack.Host{stack.NewHost(e, "nodeB"), stack.NewHost(e, "nodeC"), stack.NewHost(e, "nodeD"), stack.NewHost(e, "nodeE")}
 	kernel := h5bench.Config1()
-	writes := make([]h5bench.Result, 4)
+	out := make([]h5bench.Result, 4)
 	var runErr error
+	name := "h5scale-%d"
+	written := sim.NewWaitGroup(e)
+	written.Add(4)
+	ready := sim.NewSignal(e)
+	if read {
+		name = "h5scale-read-%d"
+		e.Go("barrier", func(p *sim.Proc) {
+			written.Wait(p)
+			ready.Fire()
+		})
+	}
 	for i := 0; i < 4; i++ {
 		i := i
-		e.Go(fmt.Sprintf("h5scale-%d", i), func(p *sim.Proc) {
-			useSHM := i < shmKernels
-			cfg := H5Config{Backend: H5OAF, Kernel: kernel, Seed: seed}
-			var tgtNode *node
+		e.Go(fmt.Sprintf(name, i), func(p *sim.Proc) {
+			cfg := H5Config{Backend: H5OAF, Kernel: kernel}
+			tgtNode := clientNode
 			switch {
-			case useSHM:
-				tgtNode = clientNode
+			case i < shmKernels:
 			case scase == Case1:
 				tgtNode = remotes[i]
 			default: // Case2: remote path stays on the same node over TCP
 				cfg.Backend = H5TCP
-				tgtNode = clientNode
-			}
-			st, _, err := h5Storage(e, p, fabric, clientNode, tgtNode, cfg, i)
-			if err != nil {
-				runErr = err
-				return
-			}
-			w, err := h5bench.WriteKernel(p, st, kernel)
-			if err != nil {
-				runErr = err
-				return
-			}
-			writes[i] = w
-		})
-	}
-	if err := e.Run(); err != nil {
-		return 0, 0, err
-	}
-	if runErr != nil {
-		return 0, 0, runErr
-	}
-	// Read phase: fresh engine run would lose the written files; instead
-	// re-run the kernels for reads in a second pass within a new engine,
-	// writing first (un-timed) and reading concurrently.
-	readAgg, err := runH5ScaleReads(scase, shmKernels, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	return h5bench.AggregateBandwidth(writes), readAgg, nil
-}
-
-// runH5ScaleReads repeats the topology, writes the files quietly, then
-// measures four concurrent read kernels.
-func runH5ScaleReads(scase ScaleCase, shmKernels int, seed int64) (float64, error) {
-	e := sim.NewEngine(seed + 1)
-	defer e.Close()
-	fabric := core.NewFabric(e, model.DefaultSHM())
-	clientNode := newNode(e, "nodeA")
-	remotes := []*node{newNode(e, "nodeB"), newNode(e, "nodeC"), newNode(e, "nodeD"), newNode(e, "nodeE")}
-	kernel := h5bench.Config1()
-	reads := make([]h5bench.Result, 4)
-	var runErr error
-	barrier := sim.NewWaitGroup(e)
-	barrier.Add(4)
-	ready := sim.NewSignal(e)
-	e.Go("barrier", func(p *sim.Proc) {
-		barrier.Wait(p)
-		ready.Fire()
-	})
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go(fmt.Sprintf("h5scale-read-%d", i), func(p *sim.Proc) {
-			useSHM := i < shmKernels
-			cfg := H5Config{Backend: H5OAF, Kernel: kernel, Seed: seed}
-			var tgtNode *node
-			switch {
-			case useSHM:
-				tgtNode = clientNode
-			case scase == Case1:
-				tgtNode = remotes[i]
-			default:
-				cfg.Backend = H5TCP
-				tgtNode = clientNode
 			}
 			st, remount, err := h5Storage(e, p, fabric, clientNode, tgtNode, cfg, i)
+			if err == nil {
+				out[i], err = h5bench.WriteKernel(p, st, kernel)
+			}
+			if read {
+				written.Done()
+				if err == nil {
+					ready.Wait(p)
+					out[i], err = h5bench.ReadKernel(p, remount(p), kernel)
+				}
+			}
 			if err != nil {
 				runErr = err
-				barrier.Done()
-				return
 			}
-			if _, err := h5bench.WriteKernel(p, st, kernel); err != nil {
-				runErr = err
-				barrier.Done()
-				return
-			}
-			barrier.Done()
-			ready.Wait(p)
-			r, err := h5bench.ReadKernel(p, remount(p), kernel)
-			if err != nil {
-				runErr = err
-				return
-			}
-			reads[i] = r
 		})
 	}
 	if err := e.Run(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	if runErr != nil {
-		return 0, runErr
-	}
-	return h5bench.AggregateBandwidth(reads), nil
+	return out, runErr
 }

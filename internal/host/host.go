@@ -1,7 +1,7 @@
-// Package host implements the NVMe-oF host (initiator) layer above the
-// transports: controller discovery through identify admin commands, and
-// multi-queue-pair controllers that spread I/O across connections the way
-// SPDK's host driver pins qpairs to cores.
+// Package host implements the NVMe-oF host (initiator) discovery layer
+// above the transports: the discovery log and the identify flow that
+// checks a controller's namespace before I/O. Spreading I/O across queue
+// pairs is transport.StripedQueue's job (offset-ordered striping).
 package host
 
 import (
@@ -25,82 +25,53 @@ func Discover(p *sim.Proc, q transport.Queue) ([]nvme.DiscoveryEntry, error) {
 	return nvme.DecodeDiscoveryLog(res.Data)
 }
 
-// Controller is a connected NVMe-oF controller: identify data plus one or
-// more I/O queue pairs.
+// Controller is an identified NVMe-oF controller.
 type Controller struct {
 	// Info is the controller identify page.
 	Info nvme.IdentifyController
 	// NS is the namespace-1 identify page.
 	NS nvme.IdentifyNamespace
-
-	queues []transport.Queue
-	rr     int
 }
 
-// Probe connects a controller over already-established queues: it runs
-// the identify flow on the first queue and validates the namespace.
+// Probe identifies the controller behind already-established queues: it
+// runs the identify flow on the first queue and validates the namespace.
 func Probe(p *sim.Proc, queues ...transport.Queue) (*Controller, error) {
 	if len(queues) == 0 {
 		return nil, fmt.Errorf("host: no queues")
 	}
-	c := &Controller{queues: queues}
-	ctrlBuf := make([]byte, 4096)
-	res := queues[0].Submit(p, &transport.IO{
-		Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: ctrlBuf, Size: 4096,
-	}).Wait(p)
-	if err := res.Err(); err != nil {
-		return nil, fmt.Errorf("host: identify controller: %w", err)
-	}
-	info, err := nvme.DecodeIdentifyController(res.Data)
+	page, err := identify(p, queues[0], nvme.CNSController, 0, "controller")
 	if err != nil {
 		return nil, err
 	}
-	c.Info = info
-
-	nsBuf := make([]byte, 4096)
-	res = queues[0].Submit(p, &transport.IO{
-		Admin: nvme.AdminIdentify, CDW10: nvme.CNSNamespace, NSID: 1, Data: nsBuf, Size: 4096,
-	}).Wait(p)
-	if err := res.Err(); err != nil {
-		return nil, fmt.Errorf("host: identify namespace: %w", err)
+	info, err := nvme.DecodeIdentifyController(page)
+	if err != nil {
+		return nil, err
 	}
-	ns, err := nvme.DecodeIdentifyNamespace(res.Data)
+	if page, err = identify(p, queues[0], nvme.CNSNamespace, 1, "namespace"); err != nil {
+		return nil, err
+	}
+	ns, err := nvme.DecodeIdentifyNamespace(page)
 	if err != nil {
 		return nil, err
 	}
 	if ns.BlockSize == 0 || ns.NSZE == 0 {
 		return nil, fmt.Errorf("host: namespace not ready: %+v", ns)
 	}
-	c.NS = ns
-	return c, nil
+	return &Controller{Info: info, NS: ns}, nil
+}
+
+// identify runs one identify admin command on q and returns its page.
+func identify(p *sim.Proc, q transport.Queue, cns, nsid uint32, what string) ([]byte, error) {
+	res := q.Submit(p, &transport.IO{
+		Admin: nvme.AdminIdentify, CDW10: cns, NSID: nsid, Data: make([]byte, 4096), Size: 4096,
+	}).Wait(p)
+	if err := res.Err(); err != nil {
+		return nil, fmt.Errorf("host: identify %s: %w", what, err)
+	}
+	return res.Data, nil
 }
 
 // CapacityBytes returns the namespace capacity.
 func (c *Controller) CapacityBytes() int64 {
 	return int64(c.NS.NSZE) * int64(c.NS.BlockSize)
-}
-
-// Queues returns the number of I/O queue pairs.
-func (c *Controller) Queues() int { return len(c.queues) }
-
-// Submit issues an I/O on the next queue pair (round-robin), validating
-// the range against the discovered namespace geometry first.
-func (c *Controller) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	if io.Admin == 0 {
-		if io.Offset < 0 || io.Offset+int64(io.Size) > c.CapacityBytes() {
-			fut := sim.NewFuture[*transport.Result](p.Engine())
-			fut.Resolve(&transport.Result{Status: nvme.StatusLBAOutOfRange})
-			return fut
-		}
-	}
-	q := c.queues[c.rr%len(c.queues)]
-	c.rr++
-	return q.Submit(p, io)
-}
-
-// Close shuts down all queue pairs.
-func (c *Controller) Close() {
-	for _, q := range c.queues {
-		q.Close()
-	}
 }

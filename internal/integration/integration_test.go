@@ -288,11 +288,11 @@ func TestDiscoveryThenProbeFlow(t *testing.T) {
 		if ctrl.CapacityBytes() != 1<<30 {
 			t.Fatalf("capacity %d", ctrl.CapacityBytes())
 		}
-		res := ctrl.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p)
+		res := c.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
-		ctrl.Close()
+		c.Close()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -41,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/telemetry"
 )
 
@@ -107,6 +108,20 @@ func (s SLO) ReceiveTuning() (busyPoll time.Duration, batch int, ok bool) {
 		return 0, 64, true
 	}
 	return 0, 0, false
+}
+
+// Steer fills the receive-path knobs tp leaves unset (busy-poll budget
+// and batch size) from the tier's ReceiveTuning.
+func (s SLO) Steer(tp model.TCPTransportParams) model.TCPTransportParams {
+	if bp, batch, ok := s.ReceiveTuning(); ok {
+		if tp.BusyPoll == 0 {
+			tp.BusyPoll = bp
+		}
+		if tp.BatchSize == 0 {
+			tp.BatchSize = batch
+		}
+	}
+	return tp
 }
 
 // Spec declares one tenant: its name (carried through the I/O path),

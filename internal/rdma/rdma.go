@@ -61,9 +61,6 @@ type ClientConfig struct {
 	MaxRetries     int
 	RetryBackoff   time.Duration
 	KeepAlive      time.Duration
-	// HostNQN identifies this host in the Fabrics Connect command
-	// (defaults to a generated NQN).
-	HostNQN string
 	// Telemetry receives counters and latency histograms (nil disables).
 	Telemetry *telemetry.Sink
 
@@ -192,7 +189,6 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	h := session.NewHost(e, ep, session.HostConfig{
 		Label:          "rdma",
 		NQN:            cfg.NQN,
-		HostNQN:        cfg.HostNQN,
 		QueueDepth:     cfg.QueueDepth,
 		Host:           cfg.Host,
 		BatchSize:      cfg.BatchSize,
@@ -647,6 +643,10 @@ type ServerConfig struct {
 	Telemetry *telemetry.Sink
 	// QoS is the target-side per-tenant admission shaper (nil = off).
 	QoS *qos.Shaper
+	// OnCrash runs when Crash tears the target down, before connections
+	// drop — the hook a write-back bdev cache uses to account its
+	// unflushed dirty lines as lost.
+	OnCrash func()
 }
 
 // Server is the target-side RDMA transport: direct data placement into
@@ -670,6 +670,7 @@ func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
 		InterruptWakeups: false,
 		Telemetry:        cfg.Telemetry,
 		QoS:              cfg.QoS,
+		OnCrash:          cfg.OnCrash,
 	}, (*rdmaTargetWire)(s))
 	return s
 }

@@ -78,10 +78,8 @@ type HostConfig struct {
 	// Label prefixes daemon names, error strings, and panics
 	// ("oaf", "tcp", "rdma").
 	Label string
-	// NQN names the target subsystem; HostNQN identifies this host in
-	// the Fabrics Connect command (DefaultHostNQN when empty).
-	NQN     string
-	HostNQN string
+	// NQN names the target subsystem.
+	NQN string
 	// QueueDepth bounds outstanding commands.
 	QueueDepth int
 	// Host holds client software costs.
@@ -320,18 +318,11 @@ func (h *Host) fabricsConnect(p *sim.Proc) error {
 	return nil
 }
 
-func (h *Host) hostNQN() string {
-	if h.cfg.HostNQN != "" {
-		return h.cfg.HostNQN
-	}
-	return DefaultHostNQN
-}
-
-// connectHostNQN is the hostNQN carried in Connect data: the bare host
-// NQN with the queue's tenant folded in (unchanged when untenanted, so
+// connectHostNQN is the hostNQN carried in Connect data: DefaultHostNQN
+// with the queue's tenant folded in (unchanged when untenanted, so
 // the wire stays byte-identical).
 func (h *Host) connectHostNQN() string {
-	return TenantHostNQN(h.hostNQN(), h.cfg.Tenant)
+	return TenantHostNQN(DefaultHostNQN, h.cfg.Tenant)
 }
 
 // Tenant returns the queue's default tenant ("" when untenanted).

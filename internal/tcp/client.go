@@ -43,9 +43,6 @@ type ClientConfig struct {
 	CommandTimeout time.Duration
 	MaxRetries     int
 	RetryBackoff   time.Duration
-	// HostNQN identifies this host in the Fabrics Connect command
-	// (defaults to a generated NQN).
-	HostNQN string
 	// Telemetry receives counters and latency histograms (nil disables).
 	Telemetry *telemetry.Sink
 	// Tenant names the tenant this queue submits for (carried in the
@@ -82,7 +79,6 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	h := session.NewHost(e, ep, session.HostConfig{
 		Label:            "tcp",
 		NQN:              cfg.NQN,
-		HostNQN:          cfg.HostNQN,
 		QueueDepth:       cfg.QueueDepth,
 		Host:             cfg.Host,
 		BatchSize:        cfg.TP.BatchSize,

@@ -43,6 +43,10 @@ type ServerConfig struct {
 	Telemetry *telemetry.Sink
 	// QoS is the target-side per-tenant admission shaper (nil = off).
 	QoS *qos.Shaper
+	// OnCrash runs when Crash tears the target down, before connections
+	// drop — the hook a write-back bdev cache uses to account its
+	// unflushed dirty lines as lost.
+	OnCrash func()
 }
 
 // Server is the NVMe/TCP transport of one target: it owns the shared data
@@ -76,6 +80,7 @@ func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
 		Pool:             s.pool,
 		Telemetry:        cfg.Telemetry,
 		QoS:              cfg.QoS,
+		OnCrash:          cfg.OnCrash,
 	}, (*tcpTargetWire)(s))
 	return s
 }

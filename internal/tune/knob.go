@@ -9,10 +9,10 @@
 package tune
 
 import (
-	"fmt"
 	"time"
 
 	"nvmeoaf/internal/cache"
+	"nvmeoaf/internal/session"
 )
 
 // Knob is one runtime-adjustable parameter: typed bounds, a step rule,
@@ -95,13 +95,13 @@ type ChunkTunable interface {
 // steps up to the connection's depth), and — when the queue's transport
 // chunks (ChunkTunable) — the chunk size (×2 steps, 16 KiB to 1 MiB).
 // Knob names carry the label so multi-queue registries stay readable.
-func QueueKnobs(label string, q TunableQueue) []Knob {
-	name := func(s string) string {
-		if label == "" {
-			return s
-		}
-		return fmt.Sprintf("%s/%s", label, s)
-	}
+//
+// srv, when non-nil, is the target-side session engine serving q: the
+// batch knob then drives both halves of the connection, host-side
+// submission trains and target-side completion-reap coalescing, as a
+// statically configured batch size does.
+func QueueKnobs(label string, q TunableQueue, srv *session.Target) []Knob {
+	name := knobNamer(label)
 	maxQD := int64(q.QueueDepth())
 	minQD := int64(4)
 	if minQD > maxQD {
@@ -116,7 +116,12 @@ func QueueKnobs(label string, q TunableQueue) []Knob {
 				}
 				return 1
 			},
-			Set: func(v int64) { q.SetBatchSize(int(v)) },
+			Set: func(v int64) {
+				q.SetBatchSize(int(v))
+				if srv != nil {
+					srv.SetBatchSize(int(v))
+				}
+			},
 		},
 		{
 			Name: name("poll_us"), Min: 0, Max: 100, Add: 25,
@@ -148,12 +153,7 @@ func QueueKnobs(label string, q TunableQueue) []Knob {
 // write-back dirty bound (percent of capacity, 15-point steps) and the
 // large-request bypass threshold (×2 steps, 16 KiB to 2 MiB).
 func CacheKnobs(label string, c *cache.Cache) []Knob {
-	name := func(s string) string {
-		if label == "" {
-			return s
-		}
-		return fmt.Sprintf("%s/%s", label, s)
-	}
+	name := knobNamer(label)
 	return []Knob{
 		{
 			Name: name("dirty_pct"), Min: 10, Max: 100, Add: 15,
@@ -174,5 +174,16 @@ func CacheKnobs(label string, c *cache.Cache) []Knob {
 			Get: func() int64 { return int64(c.LiveBypassBytes()) },
 			Set: func(v int64) { c.SetBypassBytes(int(v)) },
 		},
+	}
+}
+
+// knobNamer prefixes knob names with label ("label/name"; bare names
+// when label is empty).
+func knobNamer(label string) func(string) string {
+	return func(s string) string {
+		if label == "" {
+			return s
+		}
+		return label + "/" + s
 	}
 }

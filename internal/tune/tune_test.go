@@ -182,7 +182,7 @@ func (f *fakeChunkQueue) LiveChunkSize() int { return f.chunk }
 
 func TestQueueKnobsRoundTrip(t *testing.T) {
 	q := &fakeQueue{batch: 4, qd: 32, depth: 64, poll: 50 * time.Microsecond}
-	knobs := QueueKnobs("q0", q)
+	knobs := QueueKnobs("q0", q, nil)
 	if len(knobs) != 3 {
 		t.Fatalf("plain queue knobs = %d, want 3 (no chunk)", len(knobs))
 	}
@@ -212,7 +212,7 @@ func TestQueueKnobsRoundTrip(t *testing.T) {
 	}
 
 	cq := &fakeChunkQueue{fakeQueue{batch: 1, qd: 16, depth: 16, chunk: 128 << 10}}
-	knobs = QueueKnobs("", cq)
+	knobs = QueueKnobs("", cq, nil)
 	if len(knobs) != 4 {
 		t.Fatalf("chunked queue knobs = %d, want 4", len(knobs))
 	}

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/core"
@@ -36,11 +35,10 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/session"
+	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
+	"nvmeoaf/internal/stack"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 )
@@ -199,51 +197,35 @@ type ConnectOptions struct {
 	Tenant string
 }
 
-// host is one simulated physical machine.
-type host struct {
-	name string
-	nic  *netsim.NIC
-	loop *netsim.NIC
+// fabricKinds maps the public fabric selector onto the stack builder's
+// kinds; values outside it select the adaptive fabric.
+var fabricKinds = [...]stack.Kind{
+	FabricAdaptive: stack.OAF, FabricTCP10G: stack.TCP10G, FabricTCP25G: stack.TCP25G,
+	FabricTCP100G: stack.TCP100G, FabricRDMA56G: stack.RDMA56, FabricRoCE100G: stack.RoCE100,
+}
+
+func (f Fabric) kind() stack.Kind {
+	if f < 0 || int(f) >= len(fabricKinds) {
+		return stack.OAF
+	}
+	return fabricKinds[f]
 }
 
 // tgtEntry is one registered storage service.
 type tgtEntry struct {
-	host  *host
-	tgt   *target.Target
-	cfg   TargetConfig
-	bdev  *bdev.SSDBdev
-	cache *cache.Cache // nil when the target is uncached
+	host *stack.Host
+	m    *stack.Machine
+	cfg  TargetConfig
 	// shaper is the target-side QoS enforcement point (nil until a
 	// tenant-enforcing connection is opened; shared across connections).
 	shaper *qos.Shaper
-	// srvs holds every per-connection server transport serving this
-	// target, so a scheduled crash takes the whole service down.
-	srvs []faults.Crashable
-}
-
-// crashAll makes one registered target a Crashable: crashing it drops
-// every server transport (and their connections) at once. The server
-// list is read at fire time, so connections opened after the schedule
-// still crash.
-type crashAll struct{ te *tgtEntry }
-
-func (ca crashAll) Crash() {
-	for _, s := range ca.te.srvs {
-		s.Crash()
-	}
-}
-
-func (ca crashAll) Restart() {
-	for _, s := range ca.te.srvs {
-		s.Restart()
-	}
 }
 
 // Cluster is a simulated HPC-cloud deployment.
 type Cluster struct {
 	engine     *sim.Engine
 	fabric     *core.Fabric
-	hosts      map[string]*host
+	hosts      map[string]*stack.Host
 	targets    map[string]*tgtEntry
 	tel        *telemetry.Sink
 	queues     []*Queue
@@ -267,7 +249,7 @@ func NewCluster(cfg Config) *Cluster {
 	return &Cluster{
 		engine:  e,
 		fabric:  fabric,
-		hosts:   make(map[string]*host),
+		hosts:   make(map[string]*stack.Host),
 		targets: make(map[string]*tgtEntry),
 		tel:     tel,
 	}
@@ -278,11 +260,7 @@ func (c *Cluster) AddHost(name string) error {
 	if _, dup := c.hosts[name]; dup {
 		return fmt.Errorf("oaf: host %q already exists", name)
 	}
-	c.hosts[name] = &host{
-		name: name,
-		nic:  netsim.NewNIC(c.engine, model.TCP25G().WireBytesPerSec),
-		loop: netsim.NewNIC(c.engine, model.Loopback().WireBytesPerSec),
-	}
+	c.hosts[name] = stack.NewHost(c.engine, name)
 	return nil
 }
 
@@ -299,27 +277,18 @@ func (c *Cluster) AddTarget(hostName, nqn string, cfg TargetConfig) error {
 	if cfg.SSDCapacity <= 0 {
 		cfg.SSDCapacity = 1 << 30
 	}
-	tgt := target.New(c.engine, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(nqn)
+	m, err := stack.NewMachine(c.engine, stack.NewTarget(c.engine), nqn, stack.Disk{
+		Name: "ssd-" + nqn, Capacity: cfg.SSDCapacity, SSD: model.DefaultSSD(), Retain: cfg.RetainData,
+		CacheBytes: cfg.CacheBytes, CacheMode: cfg.CacheMode.internal(),
+		TenantDirtyFrac: cfg.TenantDirtyFrac, Telemetry: c.tel,
+	})
 	if err != nil {
 		return err
 	}
-	bd := bdev.NewSimSSD(c.engine, "ssd-"+nqn, cfg.SSDCapacity, model.DefaultSSD(), cfg.RetainData, transport.BlockSize)
-	var dev bdev.Device = bd
-	var ca *cache.Cache
-	if cfg.CacheBytes > 0 {
-		ca = cache.New(c.engine, bd, cache.Config{
-			Bytes: cfg.CacheBytes, Mode: cfg.CacheMode.internal(),
-			Retain: cfg.RetainData, Telemetry: c.tel,
-			TenantDirtyFrac: cfg.TenantDirtyFrac,
-		})
-		dev = ca
-		c.caches = append(c.caches, ca)
+	if m.Cache != nil {
+		c.caches = append(c.caches, m.Cache)
 	}
-	if _, err := sub.AddNamespace(1, dev); err != nil {
-		return err
-	}
-	c.targets[nqn] = &tgtEntry{host: h, tgt: tgt, cfg: cfg, bdev: bd, cache: ca}
+	c.targets[nqn] = &tgtEntry{host: h, m: m, cfg: cfg}
 	return nil
 }
 
@@ -342,7 +311,7 @@ func (c *Cluster) ScheduleTargetCrash(nqn string, at, downFor time.Duration) err
 	if !ok {
 		return fmt.Errorf("oaf: unknown target %q", nqn)
 	}
-	c.Injector().CrashTarget(crashAll{te}, at, downFor)
+	c.Injector().CrashTarget(te.m, at, downFor)
 	return nil
 }
 
@@ -350,35 +319,29 @@ func (c *Cluster) ScheduleTargetCrash(nqn string, at, downFor time.Duration) err
 // is false when the target is unknown or uncached.
 func (c *Cluster) CacheStats(nqn string) (cache.Stats, bool) {
 	te, found := c.targets[nqn]
-	if !found || te.cache == nil {
+	if !found || te.m.Cache == nil {
 		return cache.Stats{}, false
 	}
-	return te.cache.Stats(), true
+	return te.m.Cache.Stats(), true
 }
 
 // Run executes fn as a simulation process (an application) and drives the
 // simulation until all activity completes. It returns fn's error, or a
 // simulation error (panic, deadlock).
-func (c *Cluster) Run(fn func(ctx *Ctx) error) error {
-	var appErr error
-	c.engine.Go("oaf-app", func(p *sim.Proc) {
-		appErr = fn(&Ctx{cluster: c, proc: p, hostName: firstHost(c)})
-		c.stopTuners()
-	})
-	if err := c.engine.Run(); err != nil {
-		return err
-	}
-	return appErr
-}
+func (c *Cluster) Run(fn func(ctx *Ctx) error) error { return c.run(c.engine.Run, fn) }
 
 // RunUntil is Run with a virtual-time limit.
 func (c *Cluster) RunUntil(limit time.Duration, fn func(ctx *Ctx) error) error {
+	return c.run(func() error { return c.engine.RunUntil(sim.Time(limit)) }, fn)
+}
+
+func (c *Cluster) run(drive func() error, fn func(ctx *Ctx) error) error {
 	var appErr error
 	c.engine.Go("oaf-app", func(p *sim.Proc) {
 		appErr = fn(&Ctx{cluster: c, proc: p, hostName: firstHost(c)})
 		c.stopTuners()
 	})
-	if err := c.engine.RunUntil(sim.Time(limit)); err != nil {
+	if err := drive(); err != nil {
 		return err
 	}
 	return appErr
@@ -465,6 +428,9 @@ type Queue struct {
 	tracer *netsim.Tracer
 	target string
 	tenant string
+	// host is the client session engine behind inner (nil for group and
+	// replicated facades).
+	host *session.Host
 	// srvTarget is the session engine of the server transport serving this
 	// queue; the tuner uses it to keep target-side reap coalescing in step
 	// with the client-side batch knob.
@@ -509,9 +475,11 @@ const (
 // with Members(). A member that degraded mid-stream (revoked region,
 // reconnect in progress) reports Degraded while the group keeps serving
 // through its healthy peers.
-func (g *QueueGroup) MemberHealth() []Health {
-	out := make([]Health, len(g.members))
-	for i, m := range g.members {
+func (g *QueueGroup) MemberHealth() []Health { return memberHealth(g.members) }
+
+func memberHealth(members []*Queue) []Health {
+	out := make([]Health, len(members))
+	for i, m := range members {
 		out[i] = transport.HealthOf(m.inner)
 	}
 	return out
@@ -536,35 +504,44 @@ func (ctx *Ctx) Connect(targetNQN string, opts ConnectOptions) (*Queue, error) {
 // ConnectGroup opens opts.Queues (at least one) independent connections
 // to the target and stripes I/O across them by offset.
 func (ctx *Ctx) ConnectGroup(targetNQN string, opts ConnectOptions) (*QueueGroup, error) {
-	n := opts.Queues
-	if n <= 0 {
-		n = 1
+	nqns := make([]string, max(opts.Queues, 1))
+	for i := range nqns {
+		nqns[i] = targetNQN
 	}
-	single := opts
-	single.Queues = 1
-	members := make([]*Queue, 0, n)
-	inners := make([]transport.Queue, 0, n)
-	for i := 0; i < n; i++ {
-		q, err := ctx.connectOne(targetNQN, single)
-		if err != nil {
-			for _, m := range members {
-				m.Close()
-			}
-			return nil, fmt.Errorf("oaf: group member %d: %w", i, err)
-		}
-		members = append(members, q)
-		inners = append(inners, q.inner)
+	members, err := ctx.connectMembers("group", nqns, opts)
+	if err != nil {
+		return nil, err
 	}
-	striped := transport.NewStriped(ctx.cluster.engine, opts.StripeUnit, inners...)
+	inners := make([]transport.Queue, len(members))
 	shm := true
-	for _, m := range members {
+	for i, m := range members {
+		inners[i] = m.inner
 		shm = shm && m.SharedMemory
 	}
+	striped := transport.NewStriped(ctx.cluster.engine, opts.StripeUnit, inners...)
 	facade := &Queue{
 		inner: striped, ctx: ctx, tracer: members[0].tracer,
 		target: targetNQN, SharedMemory: shm,
 	}
 	return &QueueGroup{Queue: facade, members: members}, nil
+}
+
+// connectMembers opens one queue pair to each of nqns in order; if one
+// fails, the pairs opened so far are closed.
+func (ctx *Ctx) connectMembers(what string, nqns []string, opts ConnectOptions) ([]*Queue, error) {
+	opts.Queues = 1
+	qs := make([]*Queue, 0, len(nqns))
+	for i, nqn := range nqns {
+		q, err := ctx.connectOne(nqn, opts)
+		if err != nil {
+			for _, m := range qs {
+				m.Close()
+			}
+			return nil, fmt.Errorf("oaf: %s member %d: %w", what, i, err)
+		}
+		qs = append(qs, q)
+	}
+	return qs, nil
 }
 
 // connectOne opens a single queue pair.
@@ -596,120 +573,49 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 		if !known {
 			return nil, fmt.Errorf("oaf: unknown tenant %q (register with AddTenant first)", opts.Tenant)
 		}
-		// The tenant's SLO tier steers the receive path unless the caller
-		// pinned the knobs explicitly.
-		if bp, batch, ok := spec.SLO.ReceiveTuning(); ok {
-			if opts.BusyPoll == 0 {
-				tp.BusyPoll = bp
-			}
-			if opts.Batch == 0 {
-				tp.BatchSize = batch
-			}
-		}
+		// The tenant's SLO tier steers the receive-path knobs the caller
+		// left unset.
+		tp = spec.SLO.Steer(tp)
 	}
 	hqos := c.hostShaper(ctx.hostName)
 	tqos := c.targetShaper(te, targetNQN)
 
-	tracer := netsim.NewTracer(targetNQN)
-	intra := clientHost == te.host
-	switch opts.Fabric {
-	case FabricRDMA56G, FabricRoCE100G:
-		prm := model.RDMA56G()
-		if opts.Fabric == FabricRoCE100G {
-			prm = model.RoCE100G()
-		}
-		link := netsim.NewLink(c.engine, rdma.LinkParams(prm), clientHost.nic, te.host.nic)
-		srv := rdma.NewServer(c.engine, te.tgt, rdma.ServerConfig{NQN: targetNQN, Params: prm, Host: model.DefaultHost(), QoS: tqos})
-		srv.Serve(link.B)
-		te.srvs = append(te.srvs, srv)
-		link.A.AttachTracer(tracer)
-		cl, err := rdma.Connect(ctx.proc, link.A, rdma.ClientConfig{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth, Params: prm, Host: model.DefaultHost(),
-			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
-			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Tenant: opts.Tenant, QoS: hqos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.register(&Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target}), nil
-
-	case FabricTCP10G, FabricTCP25G, FabricTCP100G:
-		lp := model.TCP25G()
-		switch opts.Fabric {
-		case FabricTCP10G:
-			lp = model.TCP10G()
-		case FabricTCP100G:
-			lp = model.TCP100G()
-		}
-		link := netsim.NewLink(c.engine, lp, clientHost.nic, te.host.nic)
-		srv := tcp.NewServer(c.engine, te.tgt, tcp.ServerConfig{NQN: targetNQN, TP: tp, Host: model.DefaultHost(), Telemetry: c.tel, QoS: tqos})
-		srv.Serve(link.B)
-		te.srvs = append(te.srvs, srv)
-		c.pools = append(c.pools, srv.Pool())
-		link.A.AttachTracer(tracer)
-		cl, err := tcp.Connect(ctx.proc, link.A, tcp.ClientConfig{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth, TP: tp, Host: model.DefaultHost(),
-			Telemetry:      c.tel,
-			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
-			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Tenant: opts.Tenant, QoS: hqos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.register(&Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target}), nil
-
-	default: // FabricAdaptive
-		design := opts.Design.internal()
-		var link *netsim.Link
-		if intra {
-			link = netsim.NewLink(c.engine, model.Loopback(), clientHost.loop, te.host.loop)
-		} else {
-			link = netsim.NewLink(c.engine, model.TCP25G(), clientHost.nic, te.host.nic)
-		}
-		scfg := core.ServerConfig{
-			NQN: targetNQN, Design: design, Fabric: c.fabric, TP: tp, Host: model.DefaultHost(),
-			Telemetry: c.tel, QoS: tqos,
-		}
-		if ca := te.cache; ca != nil {
-			// Target-process death loses unflushed write-back data: account
-			// it so the next flush barrier reports the typed loss.
-			scfg.OnCrash = func() { ca.LoseDirty() }
-		}
-		srv := core.NewServer(c.engine, te.tgt, scfg)
-		srv.Serve(link.B)
-		te.srvs = append(te.srvs, srv)
-		c.pools = append(c.pools, srv.Pool())
-		region, err := c.fabric.RegionFor(design, clientHost.name, te.host.name, opts.MaxIOSize, tp.ChunkSize, opts.QueueDepth)
-		if err != nil {
-			// SHM provisioning failed: degrade to the TCP data path (the
-			// telemetry trace records the decision).
-			region = nil
-		}
+	b := stack.Binding{Kind: opts.Fabric.kind(), Design: opts.Design.internal(), TP: tp, Telemetry: c.tel}
+	link, err := stack.HostLink(c.engine, clientHost, te.host, b.Kind)
+	if err != nil {
+		return nil, err
+	}
+	srv, pool := stack.Serve(c.engine, te.m, link.B, stack.ServerConfig{Binding: b, SHM: c.fabric, QoS: tqos})
+	if pool != nil {
+		c.pools = append(c.pools, pool)
+	}
+	var region *shm.Region
+	if b.Kind == stack.OAF {
+		// A remote pair gets no region; a failed provision degrades to
+		// the TCP data path (the telemetry trace records the decision).
+		region, _ = c.fabric.RegionFor(b.Design, clientHost.Name, te.host.Name, opts.MaxIOSize, tp.ChunkSize, opts.QueueDepth)
 		if region != nil && opts.EncryptSHM {
 			region.EnableEncryption(0xA5A5A5A5F00DFEED, 1.5e9)
 		}
-		link.A.AttachTracer(tracer)
-		cl, err := core.Connect(ctx.proc, link.A, core.ClientConfig{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth, Design: design, Region: region,
-			TP: tp, Host: model.DefaultHost(),
-			Telemetry:      c.tel,
-			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
-			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Tenant: opts.Tenant, QoS: hqos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.register(&Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target, SharedMemory: cl.SHMEnabled()}), nil
 	}
-}
-
-// register records the queue for cluster-wide snapshots.
-func (c *Cluster) register(q *Queue) *Queue {
-	c.queues = append(c.queues, q)
-	return q
+	tracer := netsim.NewTracer(targetNQN)
+	link.A.AttachTracer(tracer)
+	q, h, err := stack.Dial(ctx.proc, link.A, stack.ClientConfig{
+		Binding: b, NQN: targetNQN, QueueDepth: opts.QueueDepth, Region: region,
+		CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
+		RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
+		Tenant: opts.Tenant, QoS: hqos,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cl, ok := q.(*core.Client)
+	// Registered for cluster-wide snapshots.
+	c.queues = append(c.queues, &Queue{
+		inner: q, host: h, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant,
+		srvTarget: srv, SharedMemory: ok && cl.SHMEnabled(),
+	})
+	return c.queues[len(c.queues)-1], nil
 }
 
 // Write stores data at the byte offset (block aligned) and waits for
@@ -729,21 +635,18 @@ func (q *Queue) Read(offset int64, size int) (*Result, error) {
 // drains dirty lines; if a crash already lost unflushed data, the flush
 // fails with a write-fault error instead of succeeding silently.
 func (q *Queue) Flush() (*Result, error) {
-	fut := q.inner.Submit(q.ctx.proc, &transport.IO{Flush: true})
-	return q.wait(&Async{fut: fut})
+	return q.wait(&Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{Flush: true})})
 }
 
 // WriteModeled issues a write whose payload is modeled (timing charged,
 // no bytes materialized) — for bandwidth experiments.
 func (q *Queue) WriteModeled(offset int64, size int) (*Result, error) {
-	fut := q.inner.Submit(q.ctx.proc, &transport.IO{Write: true, Offset: offset, Size: size})
-	return q.wait(&Async{fut: fut})
+	return q.wait(q.WriteAsyncModeled(offset, size))
 }
 
 // ReadModeled issues a modeled read.
 func (q *Queue) ReadModeled(offset int64, size int) (*Result, error) {
-	fut := q.inner.Submit(q.ctx.proc, &transport.IO{Offset: offset, Size: size})
-	return q.wait(&Async{fut: fut})
+	return q.wait(q.ReadAsyncModeled(offset, size))
 }
 
 // Async is an in-flight I/O.

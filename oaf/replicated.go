@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"nvmeoaf/internal/cluster"
-	"nvmeoaf/internal/transport"
 )
 
 // ReplicaOptions configures a replicated namespace: N member targets
@@ -58,13 +57,7 @@ func (rq *ReplicatedQueue) Stats() cluster.Stats { return rq.cl.Stats() }
 
 // MemberHealth reports each member connection's transport-level health,
 // index-aligned with Members().
-func (rq *ReplicatedQueue) MemberHealth() []Health {
-	out := make([]Health, len(rq.members))
-	for i, m := range rq.members {
-		out[i] = transport.HealthOf(m.inner)
-	}
-	return out
-}
+func (rq *ReplicatedQueue) MemberHealth() []Health { return memberHealth(rq.members) }
 
 // WaitSettled blocks the application until the next time background
 // re-replication drains the rebuild backlog (every replica holds the
@@ -98,44 +91,38 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 	}
 
 	single := opts.Connect
-	single.Queues = 1
-	// Crash tolerance needs bounded commands that fail FAST: the
-	// replication layer has its own redundancy, so a dead member should
-	// surface typed errors quickly (triggering failover and rebuild)
-	// rather than mask the outage behind long per-member retry loops.
+	// Crash tolerance needs bounded commands that fail fast.
 	if single.CommandTimeout <= 0 {
-		single.CommandTimeout = 500 * time.Microsecond
+		single.CommandTimeout = cluster.MemberCommandTimeout
 	}
 	if single.MaxRetries <= 0 {
-		single.MaxRetries = 1
+		single.MaxRetries = cluster.MemberMaxRetries
 	}
 	if single.RetryBackoff <= 0 {
-		single.RetryBackoff = 100 * time.Microsecond
+		single.RetryBackoff = cluster.MemberRetryBackoff
 	}
 	probe := opts.ProbeInterval
 	if probe <= 0 {
-		probe = 200 * time.Microsecond
+		probe = cluster.MemberProbeInterval
 	}
 
-	members := make([]cluster.Member, 0, n)
-	queues := make([]*Queue, 0, n)
+	nqns := make([]string, n)
 	retain := false
-	for i := 0; i < n; i++ {
-		nqn := memberNQN(nqnPrefix, i)
-		te, ok := c.targets[nqn]
+	for i := range nqns {
+		nqns[i] = memberNQN(nqnPrefix, i)
+		te, ok := c.targets[nqns[i]]
 		if !ok {
-			return nil, fmt.Errorf("oaf: replicated namespace %q needs target %q", nqnPrefix, nqn)
+			return nil, fmt.Errorf("oaf: replicated namespace %q needs target %q", nqnPrefix, nqns[i])
 		}
 		retain = retain || te.cfg.RetainData
-		q, err := ctx.connectOne(nqn, single)
-		if err != nil {
-			for _, m := range queues {
-				m.Close()
-			}
-			return nil, fmt.Errorf("oaf: replica member %d: %w", i, err)
-		}
-		queues = append(queues, q)
-		members = append(members, cluster.Member{Name: nqn, Queue: q.inner})
+	}
+	queues, err := ctx.connectMembers("replica", nqns, single)
+	if err != nil {
+		return nil, err
+	}
+	members := make([]cluster.Member, n)
+	for i, q := range queues {
+		members[i] = cluster.Member{Name: nqns[i], Queue: q.inner}
 	}
 
 	cl, err := cluster.New(c.engine, members, cluster.Options{

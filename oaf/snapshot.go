@@ -9,7 +9,6 @@ import (
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/telemetry"
 )
 
@@ -37,22 +36,21 @@ func (q *Queue) Snapshot() QueueSnapshot {
 	if q.SharedMemory {
 		s.Path = "shm"
 	}
-	switch cl := q.inner.(type) {
-	case *core.Client:
+	if h := q.host; h != nil {
+		s.Completed = h.Completed
+		s.Retries = h.Retries
+		s.Timeouts = h.Timeouts
+		s.Reconnects = h.Reconnects
+		s.LateMsgs = h.LateMsgs
+	}
+	if cl, ok := q.inner.(*core.Client); ok {
 		// Report the live data path: a mid-stream failover (e.g. revoked
 		// region) moves the queue to TCP after connect time.
 		if !cl.SHMEnabled() {
 			s.Path = "tcp"
 		}
-		s.Completed = cl.Completed
-		s.Retries = cl.Retries
-		s.Timeouts = cl.Timeouts
 		s.Failovers = cl.Failovers
-		s.Reconnects = cl.Reconnects
-		s.LateMsgs = cl.LateMsgs
 		s.SHMPayloadBytes = cl.SHMPayloadBytes
-	case *tcp.Client:
-		s.Completed = cl.Completed
 	}
 	return s
 }

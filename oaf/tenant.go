@@ -2,6 +2,8 @@ package oaf
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"nvmeoaf/internal/qos"
 )
@@ -106,10 +108,10 @@ func (c *Cluster) targetShaper(te *tgtEntry, nqn string) *qos.Shaper {
 // shapers lists every live enforcement point in deterministic order.
 func (c *Cluster) shapers() []*qos.Shaper {
 	var out []*qos.Shaper
-	for _, name := range sortedKeys(c.hostQoS) {
+	for _, name := range slices.Sorted(maps.Keys(c.hostQoS)) {
 		out = append(out, c.hostQoS[name])
 	}
-	for _, nqn := range sortedKeys(c.targets) {
+	for _, nqn := range slices.Sorted(maps.Keys(c.targets)) {
 		if te := c.targets[nqn]; te.shaper != nil {
 			out = append(out, te.shaper)
 		}
@@ -133,18 +135,4 @@ func (c *Cluster) CheckQoS() error {
 		}
 	}
 	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// Insertion sort: the maps here hold a handful of hosts/targets.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package oaf
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"nvmeoaf/internal/tune"
@@ -53,23 +52,7 @@ func (c *Cluster) AttachTuner(opts TunerOptions) (*Tuner, error) {
 		if !ok {
 			continue
 		}
-		qk := tune.QueueKnobs(fmt.Sprintf("q%d", i), tq)
-		if st := q.srvTarget; st != nil {
-			for j := range qk {
-				if strings.HasSuffix(qk[j].Name, "/batch") {
-					// Batching is negotiated symmetry: the same knob drives
-					// client-side submission trains and target-side
-					// completion-reap coalescing, exactly like the static
-					// Batch option at connect time.
-					set := qk[j].Set
-					qk[j].Set = func(v int64) {
-						set(v)
-						st.SetBatchSize(int(v))
-					}
-				}
-			}
-		}
-		knobs = append(knobs, qk...)
+		knobs = append(knobs, tune.QueueKnobs(fmt.Sprintf("q%d", i), tq, q.srvTarget)...)
 	}
 	for i, ca := range c.caches {
 		knobs = append(knobs, tune.CacheKnobs(fmt.Sprintf("cache%d", i), ca)...)

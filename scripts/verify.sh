@@ -4,7 +4,8 @@
 #   2. go build    — everything compiles
 #   3. dupcheck    — no >40-line cross-file clones in the fabric packages
 #      (internal/{core,tcp,rdma,session} must share the session engine,
-#      not carry private copies of it); also prints the LoC report
+#      not carry private copies of it), and no binding server or client
+#      built outside internal/stack; also prints the LoC report
 #   4. go test -race — full suite under the race detector (the sim engine
 #      runs procs one at a time, but real goroutines, channels, and the
 #      shared-memory atomics still get exercised); this includes the
