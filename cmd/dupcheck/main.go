@@ -6,7 +6,11 @@
 // this gate keeps copy-paste from growing back. It also fails when a
 // non-test Go file under the working directory, outside internal/stack
 // and the binding packages, calls tcp., core. or rdma. NewServer/Connect:
-// topologies build their stacks through internal/stack only.
+// topologies build their stacks through internal/stack only. And it fails
+// when a non-test Go file of the module (nested modules excluded)
+// declares a Submit or SubmitBatch method over transport.IO: every queue
+// submits through SubmitInto + RingDoorbell, with transport.Submit and
+// transport.SubmitBatch as the only helpers.
 //
 // Usage (from the module root):
 //
@@ -15,8 +19,8 @@
 // Defaults to -window 41 (i.e. flag clones longer than 40 lines) over
 // internal/core, internal/tcp, internal/rdma, internal/session. Also
 // prints a per-file LoC table so refactors can report net line deltas.
-// Exit status 1 when any cross-file clone or direct binding construction
-// is found.
+// Exit status 1 when any cross-file clone, direct binding construction
+// or queue-level Submit/SubmitBatch method is found.
 package main
 
 import (
@@ -116,6 +120,10 @@ func main() {
 	for _, d := range direct {
 		fmt.Fprintf(os.Stderr, "dupcheck: binding built outside internal/stack: %s\n", d)
 	}
+	submits := submitMethods(".")
+	for _, d := range submits {
+		fmt.Fprintf(os.Stderr, "dupcheck: Submit/SubmitBatch method beside SubmitInto + RingDoorbell: %s\n", d)
+	}
 	if len(clones) > 0 {
 		keys := make([]string, 0, len(clones))
 		for k := range clones {
@@ -127,7 +135,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", k)
 		}
 	}
-	if len(clones)+len(direct) > 0 {
+	if len(clones)+len(direct)+len(submits) > 0 {
 		os.Exit(1)
 	}
 	fmt.Printf("dupcheck: no cross-file clones of >=%d normalized lines\n", *window)
@@ -139,25 +147,50 @@ var bindingCall = regexp.MustCompile(`\b(tcp|core|rdma)\.(NewServer|Connect)\(`)
 // directBindings lists every non-test Go line under root, outside the
 // stack builder and the binding packages, that matches bindingCall.
 func directBindings(root string) []string {
+	return grepGo(root, bindingCall, func(dir string) bool {
+		switch filepath.ToSlash(dir) {
+		case "internal/stack", "internal/core", "internal/tcp", "internal/rdma":
+			return true
+		}
+		return false
+	})
+}
+
+// submitMethod matches the declaration of a Submit or SubmitBatch method
+// taking one transport I/O or a slice of them (spelled *IO inside
+// package transport).
+var submitMethod = regexp.MustCompile(`^func \([^)]*\) (Submit|SubmitBatch)\([^)]*\*(transport\.)?IO\b`)
+
+// submitMethods lists every non-test Go line of the module rooted at
+// root that declares a queue-level Submit or SubmitBatch method. A queue
+// has one submission primitive, SubmitInto + RingDoorbell, with
+// transport.Submit and transport.SubmitBatch as the helpers over it.
+// Nested modules are skipped: they are not this module's code.
+func submitMethods(root string) []string {
+	return grepGo(root, submitMethod, func(dir string) bool {
+		_, err := os.Stat(filepath.Join(dir, "go.mod"))
+		return dir != root && err == nil
+	})
+}
+
+// grepGo lists, as file:line, every line of the non-test Go files under
+// root whose normalized text matches re. Hidden directories and those
+// skip reports true are not entered.
+func grepGo(root string, re *regexp.Regexp, skip func(dir string) bool) []string {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
-		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+		case d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || skip(path)):
 			return filepath.SkipDir
-		case d.IsDir():
-			switch filepath.ToSlash(path) {
-			case "internal/stack", "internal/core", "internal/tcp", "internal/rdma":
-				return filepath.SkipDir
-			}
-		case strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
 			for i, line := range strings.Split(string(raw), "\n") {
-				if bindingCall.MatchString(normalize(line)) {
+				if re.MatchString(normalize(line)) {
 					out = append(out, fmt.Sprintf("%s:%d", path, i+1))
 				}
 			}

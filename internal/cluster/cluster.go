@@ -147,6 +147,9 @@ type memberState struct {
 	// probeGen, retiring every in-flight probe at once.
 	probeGen  int64
 	probeSeen int64
+
+	// staged marks reads staged on q since the router's last doorbell.
+	staged bool
 }
 
 // replState is one (extent, seat) replica record: the highest version
@@ -170,8 +173,8 @@ type extentState struct {
 }
 
 // Cluster is the replicated namespace router. It implements
-// transport.Queue and transport.BatchQueue, so perf streams, the oaf
-// facade, and striped groups stack on it unchanged.
+// transport.Queue, so perf streams, rings, the oaf facade, and striped
+// groups stack on it unchanged.
 type Cluster struct {
 	e       *sim.Engine
 	opts    Options
@@ -254,7 +257,7 @@ func (c *Cluster) Engine() *sim.Engine { return c.e }
 func (c *Cluster) Options() Options { return c.opts }
 
 // workerLoop executes deferred submissions: work that must run on a
-// process (queue Submit can block on flow control) but was scheduled
+// process (a member's doorbell can block on flow control) but was scheduled
 // from a resolve callback (write chains, read failovers).
 func (c *Cluster) workerLoop(p *sim.Proc) {
 	for {
@@ -314,66 +317,89 @@ func (c *Cluster) eligible(st *extentState, ri int) bool {
 	return rs.gen == c.seats[rs.seat].gen && rs.acked >= st.committed
 }
 
-// Submit implements transport.Queue: writes replicate to quorum, reads
-// route to an up-to-date replica, I/Os spanning extents split and
-// aggregate, admin commands probe the first live member, and flush fans
-// out to every live seated member (the durability barrier must drain
-// every replica it may have dirtied).
-func (c *Cluster) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	if io.Admin != 0 {
-		return c.submitAdmin(p, io)
+// SubmitInto implements transport.Queue. A single-extent read is staged
+// on an up-to-date replica and goes out with that member's share of the
+// next doorbell. Everything else reaches its members at once through
+// transport.Submit: writes replicate to quorum, I/Os spanning extents
+// split and aggregate into fut, admin commands probe the first live
+// member, and flush fans out to every live seated member (the durability
+// barrier must drain every replica it may have dirtied).
+func (c *Cluster) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
+	switch {
+	case io.Admin != 0:
+		c.submitAdmin(p, io, fut)
+	case io.Flush:
+		c.submitFlush(p, io, fut)
+	case transport.SpanCount(io, c.opts.ExtentSize) > 1:
+		segs := transport.SplitAt(io, c.opts.ExtentSize)
+		futs := make([]*sim.Future[*transport.Result], len(segs))
+		for i, seg := range segs {
+			futs[i] = c.submitSeg(p, seg)
+		}
+		transport.AggregateResults(fut, io, segs, futs)
+	case io.Write:
+		c.submitWrite(p, io, fut)
+	default:
+		if op, ri, ms := c.routeRead(io, fut); ms != nil {
+			mfut := sim.NewFuture[*transport.Result](c.e)
+			ms.q.SubmitInto(p, io, mfut)
+			ms.staged = true
+			op.attach(ri, ms, mfut)
+		}
 	}
-	if io.Flush {
-		return c.submitFlush(p, io)
-	}
-	segs := transport.SplitAt(io, c.opts.ExtentSize)
-	if len(segs) == 1 {
-		return c.submitSeg(p, io)
-	}
-	futs := make([]*sim.Future[*transport.Result], len(segs))
-	for i, seg := range segs {
-		futs[i] = c.submitSeg(p, seg)
-	}
-	return transport.AggregateResults(c.e, io, segs, futs)
 }
 
-func (c *Cluster) submitSeg(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	if io.Write {
-		return c.submitWrite(p, io)
+// RingDoorbell rings the doorbell of every member holding staged reads,
+// in member order.
+func (c *Cluster) RingDoorbell(p *sim.Proc) {
+	for _, ms := range c.members {
+		if ms.staged {
+			ms.staged = false
+			ms.q.RingDoorbell(p)
+		}
 	}
-	return c.submitRead(p, io)
+}
+
+// submitSeg submits one extent-contained read or write at once.
+func (c *Cluster) submitSeg(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+	out := sim.NewFuture[*transport.Result](c.e)
+	if io.Write {
+		c.submitWrite(p, io, out)
+	} else if op, ri, ms := c.routeRead(io, out); ms != nil {
+		op.attach(ri, ms, transport.Submit(p, ms.q, io))
+	}
+	return out
 }
 
 // submitAdmin forwards an admin command to the first live member.
-func (c *Cluster) submitAdmin(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+func (c *Cluster) submitAdmin(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	for _, ms := range c.members {
 		if ms.alive {
-			return ms.q.Submit(p, io)
+			ms.q.SubmitInto(p, io, fut)
+			ms.q.RingDoorbell(p)
+			return
 		}
 	}
-	fut := sim.NewFuture[*transport.Result](c.e)
 	fut.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-	return fut
 }
 
 // submitFlush fans the barrier out to every live seated member.
-func (c *Cluster) submitFlush(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+func (c *Cluster) submitFlush(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	var futs []*sim.Future[*transport.Result]
 	for s := range c.seats {
 		ms := c.occupant(s)
 		if ms == nil || !ms.alive {
 			continue
 		}
-		futs = append(futs, ms.q.Submit(p, &transport.IO{Flush: true, NSID: io.NSID, Tenant: io.Tenant}))
+		futs = append(futs, transport.Submit(p, ms.q, &transport.IO{Flush: true, NSID: io.NSID, Tenant: io.Tenant}))
 	}
 	if len(futs) == 0 {
-		fut := sim.NewFuture[*transport.Result](c.e)
 		fut.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-		return fut
+		return
 	}
 	// A flush fan-out carries no offsets; seat order is the deterministic
 	// tie-break for the merged status.
-	return transport.AggregateResults(c.e, io, nil, futs)
+	transport.AggregateResults(fut, io, nil, futs)
 }
 
 // writeOp tracks one replicated write until quorum (or until quorum
@@ -447,7 +473,7 @@ func (w *writeOp) fail(st nvme.Status) {
 // completes at the write quorum. Each replica write rides that
 // replica's per-extent chain, so two overlapping writes to the same
 // extent apply in version order on every replica.
-func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO, out *sim.Future[*transport.Result]) {
 	st := c.extent(c.extentFor(io.Offset))
 	st.ver++
 	v := st.ver
@@ -456,7 +482,7 @@ func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO) *sim.Future[*transp
 	}
 	w := &writeOp{
 		c: c, st: st, v: v,
-		out:    sim.NewFuture[*transport.Result](c.e),
+		out:    out,
 		start:  p.Now(),
 		needed: c.opts.WriteQuorum,
 	}
@@ -495,7 +521,6 @@ func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO) *sim.Future[*transp
 		c.tel.Inc(telemetry.CtrReplQuorumFails)
 		w.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
 	}
-	return w.out
 }
 
 // replicaWrite issues one replica's copy of write v through the
@@ -557,12 +582,12 @@ func (c *Cluster) chainSubmit(p *sim.Proc, rs *replState, q transport.Queue, io 
 	prev := rs.chain
 	rs.chain = out
 	if prev == nil || prev.Resolved() {
-		q.Submit(p, io).OnResolve(out.Resolve)
+		transport.Submit(p, q, io).OnResolve(out.Resolve)
 		return out
 	}
 	prev.OnResolve(func(*transport.Result) {
 		c.defer_(func(dp *sim.Proc) {
-			q.Submit(dp, io).OnResolve(out.Resolve)
+			transport.Submit(dp, q, io).OnResolve(out.Resolve)
 		})
 	})
 	return out
@@ -618,84 +643,28 @@ func (op *readOp) attach(ri int, ms *memberState, fut *sim.Future[*transport.Res
 		op.c.tel.Inc(telemetry.CtrReplReadFailovers)
 		nm := op.c.occupant(op.st.repl[next].seat)
 		op.c.defer_(func(dp *sim.Proc) {
-			op.attach(next, nm, nm.q.Submit(dp, op.io))
+			op.attach(next, nm, transport.Submit(dp, nm.q, op.io))
 		})
 	})
 }
 
-// submitRead routes one extent-contained read to an up-to-date replica.
-func (c *Cluster) submitRead(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+// routeRead picks an up-to-date replica for one extent-contained read
+// that completes into out. It returns the read's tracker and chosen
+// replica, or a nil member after failing out when no replica is
+// eligible.
+func (c *Cluster) routeRead(io *transport.IO, out *sim.Future[*transport.Result]) (*readOp, int, *memberState) {
 	st := c.extent(c.extentFor(io.Offset))
 	op := &readOp{
 		c: c, st: st, io: io,
-		out:   sim.NewFuture[*transport.Result](c.e),
+		out:   out,
 		tried: make([]bool, len(st.repl)),
 	}
 	ri := c.pickReplica(st, nil)
 	if ri < 0 {
-		op.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-		return op.out
+		out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
+		return nil, -1, nil
 	}
-	ms := c.occupant(st.repl[ri].seat)
-	op.attach(ri, ms, ms.q.Submit(p, io))
-	return op.out
-}
-
-// SubmitBatch implements transport.BatchQueue: single-extent reads are
-// grouped per chosen replica and submitted as one doorbell per member;
-// everything else (writes, split I/Os, admin) falls back to Submit
-// semantics within the same call. Futures align with ios.
-func (c *Cluster) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	out := make([]*sim.Future[*transport.Result], len(ios))
-	type slot struct {
-		idx int // ios index
-		ri  int // replica index within its extent
-		op  *readOp
-	}
-	perMember := make(map[*memberState][]slot)
-	memberIOs := make(map[*memberState][]*transport.IO)
-	for i, io := range ios {
-		if io.Admin != 0 || io.Flush || io.Write ||
-			transport.SpanCount(io, c.opts.ExtentSize) > 1 {
-			out[i] = c.Submit(p, io)
-			continue
-		}
-		st := c.extent(c.extentFor(io.Offset))
-		op := &readOp{
-			c: c, st: st, io: io,
-			out:   sim.NewFuture[*transport.Result](c.e),
-			tried: make([]bool, len(st.repl)),
-		}
-		out[i] = op.out
-		ri := c.pickReplica(st, nil)
-		if ri < 0 {
-			op.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-			continue
-		}
-		ms := c.occupant(st.repl[ri].seat)
-		perMember[ms] = append(perMember[ms], slot{idx: i, ri: ri, op: op})
-		memberIOs[ms] = append(memberIOs[ms], io)
-	}
-	// Iterate members in attachment order for determinism (map order is
-	// randomized; member slices are not).
-	for _, ms := range c.members {
-		slots := perMember[ms]
-		if len(slots) == 0 {
-			continue
-		}
-		list := memberIOs[ms]
-		if bq, ok := ms.q.(transport.BatchQueue); ok {
-			futs := bq.SubmitBatch(p, list)
-			for k, sl := range slots {
-				sl.op.attach(sl.ri, ms, futs[k])
-			}
-			continue
-		}
-		for k, sl := range slots {
-			sl.op.attach(sl.ri, ms, ms.q.Submit(p, list[k]))
-		}
-	}
-	return out
+	return op, ri, c.occupant(st.repl[ri].seat)
 }
 
 // probeOutcome applies one probe's result to the member's health streak.
@@ -864,7 +833,7 @@ func (c *Cluster) probeLoop(p *sim.Proc, ms *memberState) {
 		}
 		ms.probeGen++
 		gen := ms.probeGen
-		fut := ms.q.Submit(p, &transport.IO{Admin: nvme.AdminKeepAlive})
+		fut := transport.Submit(p, ms.q, &transport.IO{Admin: nvme.AdminKeepAlive})
 		r, ok := fut.WaitTimeout(p, c.opts.ProbeTimeout)
 		if c.closing {
 			return

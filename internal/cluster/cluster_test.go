@@ -23,15 +23,23 @@ type fakeTarget struct {
 	down    bool
 	submits int
 	writes  int
+	flushes int
+	admins  int
+	bells   int
 }
 
 func newFakeTarget(e *sim.Engine, name string, capacity int, lat time.Duration) *fakeTarget {
 	return &fakeTarget{e: e, name: name, store: make([]byte, capacity), lat: lat}
 }
 
-func (q *fakeTarget) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](q.e)
+func (q *fakeTarget) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	q.submits++
+	switch {
+	case io.Flush:
+		q.flushes++
+	case io.Admin != 0 && io.Admin != nvme.AdminKeepAlive:
+		q.admins++ // probes are keep-alives and not counted
+	}
 	lat := q.lat
 	down := q.down
 	q.e.After(lat, func() {
@@ -55,8 +63,9 @@ func (q *fakeTarget) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transpor
 		}
 		fut.Resolve(res)
 	})
-	return fut
 }
+
+func (q *fakeTarget) RingDoorbell(p *sim.Proc) { q.bells++ }
 
 func (q *fakeTarget) Close() {}
 
@@ -115,11 +124,11 @@ func TestQuorumWriteThenReadYourWrite(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		want := pattern(0xAB, 4096)
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 8192, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 8192, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Fatalf("write: %v", r.Status)
 		}
 		buf := make([]byte, 4096)
-		r := c.Submit(p, &transport.IO{Offset: 8192, Size: 4096, Data: buf}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Offset: 8192, Size: 4096, Data: buf}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Fatalf("read: %v", r.Status)
 		}
@@ -150,11 +159,11 @@ func TestLargeIOSplitsAcrossExtentsAndReassembles(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i / 512)
 		}
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 4096, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 4096, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Fatalf("write: %v", r.Status)
 		}
 		buf := make([]byte, len(want))
-		r := c.Submit(p, &transport.IO{Offset: 4096, Size: len(buf), Data: buf}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Offset: 4096, Size: len(buf), Data: buf}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Fatalf("read: %v", r.Status)
 		}
@@ -175,9 +184,9 @@ func TestWriteFailsFastWhenQuorumUnreachable(t *testing.T) {
 		// Kill member 1 and let a first write burn its misses so the
 		// cluster declares it dead.
 		fakes[1].down = true
-		c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)}).Wait(p)
+		transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)}).Wait(p)
 		// Now only one live replica remains; W=2 is unreachable.
-		r := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)}).Wait(p)
 		if r.Status == nvme.StatusSuccess {
 			t.Fatalf("write succeeded with quorum unreachable")
 		}
@@ -197,7 +206,7 @@ func TestReadFailsOverToSurvivingReplica(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		want := pattern(0x5A, 4096)
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Fatalf("write: %v", r.Status)
 		}
 		p.Sleep(time.Millisecond) // let the lagging third replica ack
@@ -207,7 +216,7 @@ func TestReadFailsOverToSurvivingReplica(t *testing.T) {
 		// failing over from a dead pick.
 		for i := 0; i < 6; i++ {
 			buf := make([]byte, 4096)
-			r := c.Submit(p, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
+			r := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
 			if r.Status != nvme.StatusSuccess {
 				t.Fatalf("read %d: %v", i, r.Status)
 			}
@@ -233,7 +242,7 @@ func TestSpareInheritsSeatAndRebuildCopies(t *testing.T) {
 		defer c.Close()
 		for i := 0; i < extents; i++ {
 			data := pattern(byte(i+1), 4096)
-			if r := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: data}).Wait(p); r.Status != nvme.StatusSuccess {
+			if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: data}).Wait(p); r.Status != nvme.StatusSuccess {
 				t.Fatalf("write %d: %v", i, r.Status)
 			}
 		}
@@ -247,7 +256,7 @@ func TestSpareInheritsSeatAndRebuildCopies(t *testing.T) {
 		// Every extent must read back correctly with member 0 still down.
 		for i := 0; i < extents; i++ {
 			buf := make([]byte, 4096)
-			r := c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: buf}).Wait(p)
+			r := transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: buf}).Wait(p)
 			if r.Status != nvme.StatusSuccess {
 				t.Fatalf("read %d after failover: %v", i, r.Status)
 			}
@@ -285,7 +294,7 @@ func TestRevivedMemberResumesSeatAndCatchesUp(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		writeAt := func(i int, b byte) {
-			if r := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(b, 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
+			if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(b, 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
 				t.Fatalf("write %d: %v", i, r.Status)
 			}
 		}
@@ -334,8 +343,8 @@ func TestOverlappingWritesApplyInVersionOrder(t *testing.T) {
 	fakes[1].lat = 500 * time.Microsecond
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
-		a := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)})
-		b := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)})
+		a := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)})
+		b := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)})
 		a.Wait(p)
 		b.Wait(p)
 		p.Sleep(5 * time.Millisecond) // drain the slow replica's chain
@@ -349,17 +358,26 @@ func TestOverlappingWritesApplyInVersionOrder(t *testing.T) {
 
 func TestBatchReadsGroupPerMember(t *testing.T) {
 	e := sim.NewEngine(8)
-	c, _ := rig(t, e, 4, 1<<20, Options{Replicas: 2, ExtentSize: 4096})
+	c, fakes := rig(t, e, 4, 1<<20, Options{Replicas: 2, ExtentSize: 4096})
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		var ios []*transport.IO
 		for i := 0; i < 16; i++ {
-			if r := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(byte(i+1), 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
+			if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(byte(i+1), 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
 				t.Fatalf("write %d: %v", i, r.Status)
 			}
 			ios = append(ios, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: make([]byte, 4096)})
 		}
-		futs := c.SubmitBatch(p, ios)
+		bells := make([]int, len(fakes))
+		for i, f := range fakes {
+			bells[i] = f.bells
+		}
+		futs := transport.SubmitBatch(p, c, ios)
+		for i, f := range fakes {
+			if got := f.bells - bells[i]; got > 1 {
+				t.Fatalf("member %d rang %d doorbells for one batch, want at most 1", i, got)
+			}
+		}
 		for i, f := range futs {
 			r := f.Wait(p)
 			if r.Status != nvme.StatusSuccess {

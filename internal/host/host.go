@@ -16,7 +16,7 @@ import (
 // returns the subsystems the target exposes.
 func Discover(p *sim.Proc, q transport.Queue) ([]nvme.DiscoveryEntry, error) {
 	buf := make([]byte, 64<<10)
-	res := q.Submit(p, &transport.IO{
+	res := transport.Submit(p, q, &transport.IO{
 		Admin: nvme.AdminGetLogPage, CDW10: nvme.LIDDiscovery, Data: buf, Size: len(buf),
 	}).Wait(p)
 	if err := res.Err(); err != nil {
@@ -62,7 +62,7 @@ func Probe(p *sim.Proc, queues ...transport.Queue) (*Controller, error) {
 
 // identify runs one identify admin command on q and returns its page.
 func identify(p *sim.Proc, q transport.Queue, cns, nsid uint32, what string) ([]byte, error) {
-	res := q.Submit(p, &transport.IO{
+	res := transport.Submit(p, q, &transport.IO{
 		Admin: nvme.AdminIdentify, CDW10: cns, NSID: nsid, Data: make([]byte, 4096), Size: 4096,
 	}).Wait(p)
 	if err := res.Err(); err != nil {

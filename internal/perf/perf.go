@@ -44,10 +44,10 @@ type Workload struct {
 	SizeMix []SizeWeight
 	// QueueDepth is the number of outstanding commands.
 	QueueDepth int
-	// Batch, when above 1 and the queue supports transport.BatchQueue,
-	// submits commands in trains of up to this size (one submit-CPU
-	// charge, one doorbell per train) and reaps all available completions
-	// per wakeup before refilling — the SPDK submit/reap loop shape.
+	// Batch, when above 1, submits commands in trains of up to this size
+	// through transport.SubmitBatch (one submit-CPU charge, one doorbell
+	// per train) and reaps all available completions per wakeup before
+	// refilling — the SPDK submit/reap loop shape.
 	Batch int
 	// Ring drives the stream through the SQ/CQ ring fast path
 	// (internal/ring) instead of the future-based Submit API: fixed
@@ -236,27 +236,23 @@ func (s *Stream) drive(p *sim.Proc) {
 	outstanding := 0
 
 	// Batched submission path: trains of up to w.Batch commands per
-	// doorbell when the queue supports it.
-	bq, batched := s.q.(transport.BatchQueue)
-	batch := s.w.Batch
-	if batch <= 1 || !batched {
-		batch = 1
-	}
+	// doorbell.
+	batch := max(s.w.Batch, 1)
 	// Preallocated train and recycled IO structs keep the steady-state
 	// driver loop allocation-free.
 	train := make([]*transport.IO, 0, batch)
 	s.freeIOs = make([]*transport.IO, 0, s.w.QueueDepth+batch)
 
-	finish := func(io *transport.IO, o op, submitAt sim.Time) func(*transport.Result) {
+	finish := func(io *transport.IO, o op) func(*transport.Result) {
 		return func(r *transport.Result) {
-			completions.TryPut(compl{op: o, io: io, res: r, at: s.e.Now(), submitAt: submitAt})
+			completions.TryPut(compl{op: o, io: io, res: r, at: s.e.Now()})
 		}
 	}
 	submit := func() {
 		io := s.nextIO(&seqOffset)
 		o := op{write: io.Write, size: io.Size}
-		fut := s.q.Submit(p, io)
-		fut.OnResolve(finish(io, o, p.Now()))
+		fut := transport.Submit(p, s.q, io)
+		fut.OnResolve(finish(io, o))
 		outstanding++
 	}
 	submitTrain := func(n int) {
@@ -264,11 +260,9 @@ func (s *Stream) drive(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			train = append(train, s.nextIO(&seqOffset))
 		}
-		futs := bq.SubmitBatch(p, train)
-		submitAt := p.Now()
-		for i, fut := range futs {
+		for i, fut := range transport.SubmitBatch(p, s.q, train) {
 			io := train[i]
-			fut.OnResolve(finish(io, op{write: io.Write, size: io.Size}, submitAt))
+			fut.OnResolve(finish(io, op{write: io.Write, size: io.Size}))
 		}
 		outstanding += n
 	}
@@ -444,11 +438,10 @@ func (s *Stream) recordCQE(c *ring.CQE, from, to sim.Time) {
 }
 
 type compl struct {
-	op       op
-	io       *transport.IO
-	res      *transport.Result
-	at       sim.Time
-	submitAt sim.Time
+	op  op
+	io  *transport.IO
+	res *transport.Result
+	at  sim.Time
 }
 
 // recycleIO returns a completed request's IO struct to the freelist.

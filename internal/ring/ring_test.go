@@ -10,7 +10,7 @@ import (
 	"nvmeoaf/internal/transport"
 )
 
-// stubQueue is a synchronous RingSubmitter: SubmitInto resolves the
+// stubQueue is a synchronous transport.Queue: SubmitInto resolves the
 // caller's future inline with a single recycled Result, so nothing on
 // the stub side allocates or parks — exactly what the zero-alloc gate
 // needs to isolate the ring's own hot path.
@@ -22,12 +22,6 @@ type stubQueue struct {
 	subs     int
 	bells    int
 	lastData []byte
-}
-
-func (q *stubQueue) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](q.e)
-	q.finish(io, fut)
-	return fut
 }
 
 func (q *stubQueue) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
@@ -58,50 +52,11 @@ func (q *stubQueue) finish(io *transport.IO, fut *sim.Future[*transport.Result])
 	fut.Resolve(&q.res)
 }
 
-// genericStub implements only Queue (+ optionally BatchQueue), to drive
-// the ring's fallback path used by striped and replicated queues.
-type genericStub struct {
-	e       *sim.Engine
-	batched bool
-	batches int
-	singles int
-}
-
-func (q *genericStub) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	q.singles++
-	fut := sim.NewFuture[*transport.Result](q.e)
-	q.e.After(time.Microsecond, func() {
-		fut.Resolve(&transport.Result{Status: nvme.StatusSuccess})
-	})
-	return fut
-}
-
-func (q *genericStub) Close() {}
-
-// batchStub adds SubmitBatch on top of genericStub.
-type batchStub struct{ genericStub }
-
-func (q *batchStub) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	q.batches++
-	futs := make([]*sim.Future[*transport.Result], len(ios))
-	for i := range ios {
-		fut := sim.NewFuture[*transport.Result](q.e)
-		futs[i] = fut
-		q.e.After(time.Microsecond, func() {
-			fut.Resolve(&transport.Result{Status: nvme.StatusSuccess})
-		})
-	}
-	return futs
-}
-
 func TestRingRoundTripNative(t *testing.T) {
 	e := sim.NewEngine(1)
 	q := &stubQueue{e: e, status: nvme.StatusSuccess}
 	tel := telemetry.New()
 	r := New(e, q, Config{SQSize: 8, BufSize: 4096, Telemetry: tel})
-	if !r.Native() {
-		t.Fatal("stub RingSubmitter not detected as native")
-	}
 	e.Go("app", func(p *sim.Proc) {
 		var cq [8]CQE
 		for ud := uint64(1); ud <= 4; ud++ {
@@ -197,46 +152,84 @@ func TestRingHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRingGenericFallbackSingleAndBatch(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		e := sim.NewEngine(3)
-		var q transport.Queue
-		gs := &genericStub{e: e}
-		bs := &batchStub{genericStub{e: e}}
-		if batched {
-			q = bs
-		} else {
-			q = gs
-		}
-		r := New(e, q, Config{SQSize: 8, BufSize: 512})
-		if r.Native() {
-			t.Fatal("generic stub misdetected as ring-native")
-		}
-		e.Go("app", func(p *sim.Proc) {
-			var cq [8]CQE
-			for i := 0; i < 6; i++ {
+// stripedStubs builds a striped group with a 4 KiB stripe unit over n
+// synchronous stub members.
+func stripedStubs(e *sim.Engine, n int) (*transport.StripedQueue, []*stubQueue) {
+	stubs := make([]*stubQueue, n)
+	members := make([]transport.Queue, n)
+	for i := range stubs {
+		stubs[i] = &stubQueue{e: e, status: nvme.StatusSuccess}
+		members[i] = stubs[i]
+	}
+	return transport.NewStriped(e, 4096, members...), stubs
+}
+
+// A ring over a striped group routes every entry to its member and
+// rings each touched member's doorbell once per Submit.
+func TestRingOverStripedRingsEachMemberOnce(t *testing.T) {
+	e := sim.NewEngine(3)
+	sq, stubs := stripedStubs(e, 2)
+	r := New(e, sq, Config{SQSize: 8, BufSize: 4096})
+	e.Go("app", func(p *sim.Proc) {
+		var cq [8]CQE
+		train := func(units ...int) {
+			for _, u := range units {
 				buf, _ := r.Claim()
-				r.Push(SQE{Size: 512, Buf: buf, UserData: uint64(i)})
+				r.Push(SQE{Offset: int64(u) * 4096, Size: 4096, Buf: buf, UserData: uint64(u)})
 			}
-			if got := r.Submit(p); got != 6 {
-				t.Fatalf("submitted %d, want 6", got)
+			if got := r.Submit(p); got != len(units) {
+				t.Fatalf("submitted %d, want %d", got, len(units))
 			}
-			if n := r.Reap(p, cq[:], 6); n != 6 {
-				t.Fatalf("reaped %d, want 6", n)
+			if n := r.Reap(p, cq[:], len(units)); n != len(units) {
+				t.Fatalf("reaped %d, want %d", n, len(units))
 			}
-			for i := 0; i < 6; i++ {
+			for _, c := range cq[:len(units)] {
+				r.Release(c.Buf)
+			}
+		}
+		// Even units belong to member 0, odd units to member 1.
+		train(0, 1, 2, 3, 4, 5)
+		if stubs[0].subs != 3 || stubs[1].subs != 3 || stubs[0].bells != 1 || stubs[1].bells != 1 {
+			t.Fatalf("after a mixed train: subs %d/%d, doorbells %d/%d; want 3/3 and 1/1",
+				stubs[0].subs, stubs[1].subs, stubs[0].bells, stubs[1].bells)
+		}
+		train(0, 2)
+		if stubs[0].bells != 2 || stubs[1].bells != 1 {
+			t.Fatalf("after a member-0 train: doorbells %d/%d, want 2/1", stubs[0].bells, stubs[1].bells)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The ring's zero-allocation gate holds over a striped group too, for
+// entries that fit in one stripe unit.
+func TestRingOverStripedZeroAlloc(t *testing.T) {
+	e := sim.NewEngine(8)
+	sq, _ := stripedStubs(e, 4)
+	r := New(e, sq, Config{SQSize: 16, BufSize: 4096, Telemetry: telemetry.New()})
+	e.Go("app", func(p *sim.Proc) {
+		var cq [16]CQE
+		cycle := func() {
+			for i := 0; i < 16; i++ {
+				buf, _ := r.Claim()
+				r.Push(SQE{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096, Buf: buf, UserData: uint64(i)})
+			}
+			if r.Submit(p) != 16 || r.Reap(p, cq[:], 16) != 16 {
+				t.Fatal("short submit or reap")
+			}
+			for i := 0; i < 16; i++ {
 				r.Release(cq[i].Buf)
 			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
 		}
-		if batched && bs.batches != 1 {
-			t.Fatalf("batched fallback used %d SubmitBatch calls, want 1", bs.batches)
+		cycle()
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("ring over a striped group allocates %.1f objects per 16-op cycle, want 0", allocs)
 		}
-		if !batched && gs.singles != 6 {
-			t.Fatalf("single fallback used %d Submit calls, want 6", gs.singles)
-		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,9 +30,10 @@ type HostWire interface {
 	// Admit applies transport-specific admission checks beyond the
 	// engine's common ones; StatusSuccess admits the I/O.
 	Admit(io *transport.IO) nvme.Status
-	// StageSubmit charges payload staging for one admitted I/O on the
-	// submitting process (fill cost, slot claim + copy-in, ...).
-	StageSubmit(p *sim.Proc, pend *Pending)
+	// StageTrain charges payload staging for one doorbell train of
+	// admitted I/Os on the submitting process (fill cost, slot claims +
+	// copy-in, ...).
+	StageTrain(p *sim.Proc, train []*Pending)
 	// MakeIOEntry builds the wire entry (SQE + optional in-capsule
 	// payload) for a read/write command and records per-path submit
 	// telemetry. Admin and flush entries are engine-built.
@@ -138,11 +139,19 @@ type Host struct {
 	// structures for the batched submission path. The engine is
 	// cooperative, so plain slices suffice; scratch encode structures are
 	// only touched by the reactor (SendPDUs serializes before yielding).
-	freePends   []*Pending
-	pendScratch []*Pending
-	batch       pdu.CmdBatch
-	capsule     pdu.CapsuleCmd
-	entry       pdu.BatchEntry
+	freePends []*Pending
+	batch     pdu.CmdBatch
+	capsule   pdu.CapsuleCmd
+	entry     pdu.BatchEntry
+
+	// staged holds commands admitted by SubmitInto whose doorbell has
+	// not rung yet. A doorbell swaps it for the spare slice before
+	// staging (which may sleep), so a submitter that runs meanwhile
+	// starts a fresh train; the rung train's slice becomes the spare.
+	staged, spare []*Pending
+	// ringing counts doorbells between detaching their train and
+	// enqueueing it; orderly shutdown waits for them.
+	ringing int
 
 	// Live-tunable knobs. These are the only engine state written from
 	// outside the cooperative simulation (the tuning controller runs as
@@ -469,23 +478,10 @@ func (h *Host) LookupPending(cid uint16) (*Pending, bool) {
 	return ctx.(*Pending), true
 }
 
-// TakePending hands a binding (batch-submit override) a re-armed
-// pending op.
-func (h *Host) TakePending(io *transport.IO, fut *sim.Future[*transport.Result]) *Pending {
-	return h.takePending(io, fut)
-}
-
-// Push stamps the submission time and queues the pending op without
-// ringing the doorbell (batch-submit overrides kick once per train).
-func (h *Host) Push(p *sim.Proc, pend *Pending) {
-	pend.SubmitAt = p.Now()
-	h.submitQ.TryPut(pend)
-}
-
-// AdmitIO validates one I/O against the engine's common limits and the
+// admit validates one I/O against the engine's common limits and the
 // wire's own, resolving the future with a typed error when it cannot be
 // queued. It returns false when the command must not proceed.
-func (h *Host) AdmitIO(io *transport.IO, fut *sim.Future[*transport.Result]) bool {
+func (h *Host) admit(io *transport.IO, fut *sim.Future[*transport.Result]) bool {
 	if h.closing {
 		fut.Resolve(&transport.Result{Status: nvme.StatusAbortRequested})
 		return false
@@ -501,84 +497,61 @@ func (h *Host) AdmitIO(io *transport.IO, fut *sim.Future[*transport.Result]) boo
 	return true
 }
 
-// Submit implements transport.Queue. The submitting process pays payload
-// generation and any wire staging costs (shared-memory flow control
-// pushes back here when all slots are busy).
-func (h *Host) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](h.e)
-	if !h.AdmitIO(io, fut) {
-		return fut
-	}
-	pend := h.takePending(io, fut)
-	h.wire.StageSubmit(p, pend)
-	p.Sleep(h.cfg.Host.SubmitCPU)
-	pend.SubmitAt = p.Now()
-	h.submitQ.TryPut(pend)
-	h.kick.Fire()
-	return fut
-}
-
-// SubmitBatch implements transport.BatchQueue: it stages every I/O with
-// a single submit-CPU charge and a single reactor kick (one doorbell),
-// so the reactor can coalesce the train into batch capsules. Bindings
-// with amortized staging (the adaptive fabric's multi-slot claim)
-// shadow this with their own override.
-func (h *Host) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	futs := make([]*sim.Future[*transport.Result], len(ios))
-	pends := h.pendScratch[:0]
-	for i, io := range ios {
-		fut := sim.NewFuture[*transport.Result](h.e)
-		futs[i] = fut
-		if !h.AdmitIO(io, fut) {
-			continue
-		}
-		pend := h.takePending(io, fut)
-		h.wire.StageSubmit(p, pend)
-		pends = append(pends, pend)
-	}
-	h.pendScratch = pends[:0]
-	if len(pends) == 0 {
-		return futs
-	}
-	p.Sleep(h.cfg.Host.SubmitCPU)
-	for i, pend := range pends {
-		pend.SubmitAt = p.Now()
-		h.submitQ.TryPut(pend)
-		pends[i] = nil
-	}
-	h.kick.Fire()
-	return futs
-}
-
-// SubmitInto implements transport.RingSubmitter: one ring entry is
-// staged into the caller-owned (recycled) future without allocating or
-// ringing the doorbell. The staged train enters the reactor's normal
-// batch drain on the next RingDoorbell, so ring traffic coalesces into
-// capsule trains exactly like SubmitBatch traffic.
+// SubmitInto implements transport.Queue: it admits io into the
+// caller-owned future and stages it for the next doorbell, without
+// allocating in the steady state and without yielding.
 func (h *Host) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
-	if !h.AdmitIO(io, fut) {
+	if !h.admit(io, fut) {
 		return
 	}
-	pend := h.takePending(io, fut)
-	h.wire.StageSubmit(p, pend)
-	pend.SubmitAt = p.Now()
-	h.submitQ.TryPut(pend)
+	h.staged = append(h.staged, h.takePending(io, fut))
 }
 
-// RingDoorbell implements transport.RingSubmitter: one submit-CPU charge
-// and one reactor kick for everything staged since the last doorbell.
+// RingDoorbell implements transport.Queue: the submitting process pays
+// the train's payload staging (shared-memory flow control pushes back
+// here when all slots are busy) and one submit-CPU charge, then the
+// train enters the submit queue and the reactor wakes once. A doorbell
+// with nothing staged does nothing.
 func (h *Host) RingDoorbell(p *sim.Proc) {
+	train := h.staged
+	if len(train) == 0 {
+		return
+	}
+	h.staged, h.spare = h.spare, nil
+	h.ringing++
+	h.wire.StageTrain(p, train)
 	p.Sleep(h.cfg.Host.SubmitCPU)
+	for i, pend := range train {
+		pend.SubmitAt = p.Now()
+		h.submitQ.TryPut(pend)
+		train[i] = nil
+	}
+	h.spare = train[:0]
+	h.ringing--
 	h.kick.Fire()
 }
 
-// Close initiates orderly shutdown.
+// Close initiates orderly shutdown. Rung commands complete first;
+// commands staged without a doorbell fail.
 func (h *Host) Close() {
 	if h.closing {
 		return
 	}
 	h.closing = true
+	for _, pend := range h.staged {
+		pend.Fut.Resolve(&transport.Result{Status: nvme.StatusAbortRequested})
+		h.recyclePending(pend)
+	}
+	h.staged = nil
 	h.kick.Fire()
+}
+
+// drainedForClose reports whether orderly shutdown has nothing left to
+// wait for: no command in flight, queued, parked, in retry backoff, or
+// inside a doorbell.
+func (h *Host) drainedForClose() bool {
+	return h.closing && h.cids.Outstanding() == 0 && h.submitQ.Len() == 0 &&
+		h.backlog == 0 && len(h.qosParked) == 0 && h.ringing == 0
 }
 
 // WaitClosed blocks until the reactor has exited.
@@ -652,7 +625,7 @@ func (h *Host) reactor(p *sim.Proc) {
 		if worked {
 			continue
 		}
-		if h.closing && h.cids.Outstanding() == 0 && h.submitQ.Len() == 0 && h.backlog == 0 && len(h.qosParked) == 0 {
+		if h.drainedForClose() {
 			transport.SendPDUs(p, h.ep, &pdu.Term{Dir: pdu.TypeH2CTermReq})
 			return
 		}
@@ -668,7 +641,7 @@ func (h *Host) reactor(p *sim.Proc) {
 		}
 		h.kick.Reset()
 		h.armQoSWake(p)
-		if h.closing && h.cids.Outstanding() == 0 && h.submitQ.Len() == 0 && h.backlog == 0 && len(h.qosParked) == 0 {
+		if h.drainedForClose() {
 			continue
 		}
 		if h.ep.Pending() > 0 || (h.canStart() && !h.reconnecting && h.submitQ.Len() > 0) {

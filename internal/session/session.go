@@ -70,6 +70,17 @@ type Pending struct {
 	qosParkAt sim.Time
 }
 
+// ChargeFill charges payload generation on the submitting process for
+// each write of a doorbell train that does not carry NoFill, one write
+// at a time.
+func ChargeFill(p *sim.Proc, train []*Pending, perByteNanos float64) {
+	for _, pend := range train {
+		if io := pend.IO; io.Write && !io.NoFill {
+			p.Sleep(time.Duration(float64(io.Size) * perByteNanos))
+		}
+	}
+}
+
 // tenantSep joins the host NQN and the tenant name inside the Fabrics
 // Connect hostNQN field. Identity therefore crosses the wire once per
 // connection inside an already fixed-width field: with no tenant

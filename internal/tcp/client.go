@@ -108,13 +108,10 @@ func (w *tcpWire) AdoptICResp(resp *pdu.ICResp) {}
 
 func (w *tcpWire) Admit(io *transport.IO) nvme.Status { return nvme.StatusSuccess }
 
-// StageSubmit charges payload generation for writes on the submitting
-// process.
-func (w *tcpWire) StageSubmit(p *sim.Proc, pend *session.Pending) {
-	io := pend.IO
-	if io.Write && !io.NoFill {
-		p.Sleep(time.Duration(float64(io.Size) * w.cfg.Host.FillPerByteNanos))
-	}
+// StageTrain charges payload generation for the train's writes on the
+// submitting process.
+func (w *tcpWire) StageTrain(p *sim.Proc, train []*session.Pending) {
+	session.ChargeFill(p, train, w.cfg.Host.FillPerByteNanos)
 }
 
 // MakeIOEntry builds the read/write entry; small writes ride in-capsule
@@ -224,7 +221,7 @@ func (c *Client) LiveChunkSize() int { return int(c.wire.chunkB.Load()) }
 // admin commands, as a host does during controller initialization.
 func (c *Client) Identify(p *sim.Proc) (nvme.IdentifyController, nvme.IdentifyNamespace, error) {
 	ctrlBuf := make([]byte, 4096)
-	res := c.Submit(p, &transport.IO{
+	res := transport.Submit(p, c, &transport.IO{
 		Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: ctrlBuf, Size: 4096,
 	}).Wait(p)
 	if err := res.Err(); err != nil {
@@ -235,7 +232,7 @@ func (c *Client) Identify(p *sim.Proc) (nvme.IdentifyController, nvme.IdentifyNa
 		return nvme.IdentifyController{}, nvme.IdentifyNamespace{}, err
 	}
 	nsBuf := make([]byte, 4096)
-	res = c.Submit(p, &transport.IO{
+	res = transport.Submit(p, c, &transport.IO{
 		Admin: nvme.AdminIdentify, CDW10: nvme.CNSNamespace, NSID: 1, Data: nsBuf, Size: 4096,
 	}).Wait(p)
 	if err := res.Err(); err != nil {

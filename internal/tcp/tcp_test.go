@@ -82,7 +82,7 @@ func TestReadWriteVirtualPayload(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
 		// Large write: conservative flow with R2T.
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("write: %v", res.Err())
 		}
@@ -90,7 +90,7 @@ func TestReadWriteVirtualPayload(t *testing.T) {
 			t.Errorf("write timing: %+v", res)
 		}
 		// Read back (virtual).
-		res = c.Submit(p, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("read: %v", res.Err())
 		}
@@ -116,12 +116,12 @@ func TestRealDataRoundTrip(t *testing.T) {
 	}
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 4096, Size: len(payload), Data: payload}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 4096, Size: len(payload), Data: payload}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("write: %v", res.Err())
 		}
 		into := make([]byte, len(payload))
-		res = c.Submit(p, &transport.IO{Offset: 4096, Size: len(payload), Data: into}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 4096, Size: len(payload), Data: into}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("read: %v", res.Err())
 		}
@@ -140,11 +140,11 @@ func TestInCapsuleWriteSkipsR2T(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
-		small := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4 << 10}).Wait(p)
+		small := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4 << 10}).Wait(p)
 		if small.Err() != nil {
 			t.Fatal(small.Err())
 		}
-		large := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 64 << 10}).Wait(p)
+		large := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 64 << 10}).Wait(p)
 		if large.Err() != nil {
 			t.Fatal(large.Err())
 		}
@@ -171,7 +171,7 @@ func TestQueueDepthLimitsOutstanding(t *testing.T) {
 		c := r.connect(t, p, qd)
 		futs := make([]*sim.Future[*transport.Result], 0, total)
 		for i := 0; i < total; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
+			futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
 		}
 		for _, f := range futs {
 			if res := f.Wait(p); res.Err() != nil {
@@ -193,7 +193,7 @@ func TestChunkingSplitsLargeIO(t *testing.T) {
 	r := newRig(t, false, func(tp *model.TCPTransportParams) { tp.ChunkSize = 64 << 10 })
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		res := c.Submit(p, &transport.IO{Offset: 0, Size: 512 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 512 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -215,11 +215,11 @@ func TestUnalignedIORejected(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		res := c.Submit(p, &transport.IO{Offset: 3, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 3, Size: 4096}).Wait(p)
 		if res.Err() == nil {
 			t.Error("unaligned offset accepted")
 		}
-		res = c.Submit(p, &transport.IO{Offset: 0, Size: 100}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 0, Size: 100}).Wait(p)
 		if res.Err() == nil {
 			t.Error("unaligned size accepted")
 		}
@@ -235,7 +235,7 @@ func TestLBAOutOfRangeStatus(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		res := c.Submit(p, &transport.IO{Offset: 1 << 30, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 1 << 30, Size: 4096}).Wait(p)
 		if res.Status != nvme.StatusLBAOutOfRange {
 			t.Errorf("status %v, want LBA out of range", res.Status)
 		}
@@ -255,7 +255,7 @@ func TestBufferPoolBackpressure(t *testing.T) {
 		c := r.connect(t, p, 8)
 		var futs []*sim.Future[*transport.Result]
 		for i := 0; i < 8; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
+			futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
 		}
 		for _, f := range futs {
 			if res := f.Wait(p); res.Err() != nil {
@@ -319,7 +319,7 @@ func TestFasterLinkIsFaster(t *testing.T) {
 			}
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 64; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -362,7 +362,7 @@ func TestBusyPollEliminatesWakeupPenalties(t *testing.T) {
 			// mode pays a wakeup.
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 50; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
 			}
 			for _, f := range futs {
 				f.Wait(p)

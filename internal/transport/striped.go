@@ -20,11 +20,13 @@ const DefaultStripeUnit = 128 << 10
 // per-offset read-your-write ordering without cross-queue synchronization.
 // Large I/Os are segment-split at stripe boundaries, issued to their
 // owning members concurrently, and completed through an aggregated future
-// (status: first error; timing: slowest segment).
+// (status: the error of the lowest-offset failing segment; timing:
+// slowest segment).
 type StripedQueue struct {
 	e          *sim.Engine
 	members    []Queue
 	stripeUnit int64
+	touched    []bool // members staged into since the last doorbell
 }
 
 // NewStriped builds a striped queue over members. stripeUnit <= 0 selects
@@ -40,7 +42,7 @@ func NewStriped(e *sim.Engine, stripeUnit int, members ...Queue) *StripedQueue {
 	if rem := stripeUnit % BlockSize; rem != 0 {
 		stripeUnit += BlockSize - rem
 	}
-	return &StripedQueue{e: e, members: members, stripeUnit: int64(stripeUnit)}
+	return &StripedQueue{e: e, members: members, stripeUnit: int64(stripeUnit), touched: make([]bool, len(members))}
 }
 
 // Members exposes the member queues (for snapshots and tests).
@@ -76,91 +78,46 @@ func (s *StripedQueue) segCount(io *IO) int {
 	return SpanCount(io, s.stripeUnit)
 }
 
-// split cuts io at stripe boundaries (SplitAt at the stripe unit).
-func (s *StripedQueue) split(io *IO) []*IO { return SplitAt(io, s.stripeUnit) }
-
-// Submit implements Queue. Admin commands go to member 0; data I/O routes
-// by offset, splitting across members when it spans stripe boundaries.
-func (s *StripedQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] {
+// SubmitInto implements Queue. Admin commands go to member 0; data I/O
+// routes by offset, splitting across members when it spans stripe
+// boundaries (the segments aggregate into fut).
+func (s *StripedQueue) SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result]) {
 	if s.segCount(io) == 1 {
-		return s.memberFor(io).Submit(p, io)
+		s.stage(p, s.memberIndexFor(io), io, fut)
+		return
 	}
-	segs := s.split(io)
+	segs := SplitAt(io, s.stripeUnit)
 	futs := make([]*sim.Future[*Result], len(segs))
 	for i, seg := range segs {
-		futs[i] = s.members[s.queueFor(seg.Offset)].Submit(p, seg)
+		futs[i] = sim.NewFuture[*Result](s.e)
+		s.stage(p, s.queueFor(seg.Offset), seg, futs[i])
 	}
-	return s.aggregate(io, segs, futs)
+	AggregateResults(fut, io, segs, futs)
 }
 
-// SubmitBatch implements BatchQueue: I/Os are routed per offset like
-// Submit, but each member receives its share as one batched doorbell
-// (when the member supports batching). Futures align with ios.
-func (s *StripedQueue) SubmitBatch(p *sim.Proc, ios []*IO) []*sim.Future[*Result] {
-	perMember := make([][]*IO, len(s.members))
-	// route[i] records where io i went: a single member segment or a
-	// list of (member, position) pairs for a split I/O.
-	type slot struct{ member, pos int }
-	routes := make([][]slot, len(ios))
-	for i, io := range ios {
-		if s.segCount(io) == 1 {
-			m := s.memberIndexFor(io)
-			routes[i] = []slot{{m, len(perMember[m])}}
-			perMember[m] = append(perMember[m], io)
-			continue
-		}
-		for _, seg := range s.split(io) {
-			m := s.queueFor(seg.Offset)
-			routes[i] = append(routes[i], slot{m, len(perMember[m])})
-			perMember[m] = append(perMember[m], seg)
-		}
-	}
-	memberFuts := make([][]*sim.Future[*Result], len(s.members))
-	for m, list := range perMember {
-		if len(list) == 0 {
-			continue
-		}
-		if bq, ok := s.members[m].(BatchQueue); ok {
-			memberFuts[m] = bq.SubmitBatch(p, list)
-			continue
-		}
-		futs := make([]*sim.Future[*Result], len(list))
-		for i, io := range list {
-			futs[i] = s.members[m].Submit(p, io)
-		}
-		memberFuts[m] = futs
-	}
-	out := make([]*sim.Future[*Result], len(ios))
-	for i, route := range routes {
-		if len(route) == 1 {
-			out[i] = memberFuts[route[0].member][route[0].pos]
-			continue
-		}
-		futs := make([]*sim.Future[*Result], len(route))
-		for j, sl := range route {
-			futs[j] = memberFuts[sl.member][sl.pos]
-		}
-		// split is deterministic, so re-cutting yields segments aligned
-		// with the route (and therefore with futs).
-		out[i] = s.aggregate(ios[i], s.split(ios[i]), futs)
-	}
-	return out
+// stage admits io on member m and marks m for the next doorbell.
+func (s *StripedQueue) stage(p *sim.Proc, m int, io *IO, fut *sim.Future[*Result]) {
+	s.touched[m] = true
+	s.members[m].SubmitInto(p, io, fut)
 }
 
-// memberFor returns the queue owning io (admin pins to member 0).
-func (s *StripedQueue) memberFor(io *IO) Queue { return s.members[s.memberIndexFor(io)] }
+// RingDoorbell rings each member that received entries since the last
+// doorbell, in member order.
+func (s *StripedQueue) RingDoorbell(p *sim.Proc) {
+	for m, t := range s.touched {
+		if t {
+			s.touched[m] = false
+			s.members[m].RingDoorbell(p)
+		}
+	}
+}
 
+// memberIndexFor returns the member owning io (admin pins to member 0).
 func (s *StripedQueue) memberIndexFor(io *IO) int {
 	if io.Admin != 0 {
 		return 0
 	}
 	return s.queueFor(io.Offset)
-}
-
-// aggregate resolves one future once every segment completes
-// (AggregateResults on this queue's engine).
-func (s *StripedQueue) aggregate(io *IO, segs []*IO, futs []*sim.Future[*Result]) *sim.Future[*Result] {
-	return AggregateResults(s.e, io, segs, futs)
 }
 
 // Close closes every member; outstanding requests complete first.

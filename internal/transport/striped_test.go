@@ -16,14 +16,14 @@ type memQueue struct {
 	store  []byte
 	health Health
 	ios    int
+	bells  int
 }
 
 func newMemQueue(e *sim.Engine, capacity int) *memQueue {
 	return &memQueue{e: e, store: make([]byte, capacity)}
 }
 
-func (q *memQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] {
-	fut := sim.NewFuture[*Result](q.e)
+func (q *memQueue) SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result]) {
 	q.ios++
 	q.e.After(time.Microsecond, func() {
 		res := &Result{Status: nvme.StatusSuccess, Latency: time.Microsecond}
@@ -37,11 +37,11 @@ func (q *memQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] {
 		}
 		fut.Resolve(res)
 	})
-	return fut
 }
 
-func (q *memQueue) Close()         {}
-func (q *memQueue) Health() Health { return q.health }
+func (q *memQueue) RingDoorbell(p *sim.Proc) { q.bells++ }
+func (q *memQueue) Close()                   {}
+func (q *memQueue) Health() Health           { return q.health }
 
 func TestStripedMemberHealthReportsPerMember(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -73,11 +73,11 @@ func TestStripedMemberHealthReportsPerMember(t *testing.T) {
 		want := bytes.Repeat([]byte{0x7E}, 512)
 		// Offset unit*1 belongs to the degraded member 1.
 		off := int64(unit)
-		if r := s.Submit(p, &IO{Write: true, Offset: off, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := Submit(p, s, &IO{Write: true, Offset: off, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Errorf("write on degraded member: %v", r.Status)
 		}
 		buf := make([]byte, len(want))
-		r := s.Submit(p, &IO{Offset: off, Size: len(buf), Data: buf}).Wait(p)
+		r := Submit(p, s, &IO{Offset: off, Size: len(buf), Data: buf}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Errorf("read on degraded member: %v", r.Status)
 		}
@@ -109,8 +109,9 @@ func TestHealthOfAssumesHealthyForPlainQueues(t *testing.T) {
 
 type nopQueue struct{}
 
-func (nopQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] { return nil }
-func (nopQueue) Close()                                          {}
+func (nopQueue) SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result]) {}
+func (nopQueue) RingDoorbell(p *sim.Proc)                                 {}
+func (nopQueue) Close()                                                   {}
 
 func TestSpanCountAndSplitAt(t *testing.T) {
 	const unit = 4096
@@ -172,7 +173,8 @@ func TestAggregateResultsMergesErrorAndTiming(t *testing.T) {
 	io := &IO{Offset: 0, Size: 8192, Data: make([]byte, 8192)}
 	a := sim.NewFuture[*Result](e)
 	b := sim.NewFuture[*Result](e)
-	agg := AggregateResults(e, io, nil, []*sim.Future[*Result]{a, b})
+	agg := sim.NewFuture[*Result](e)
+	AggregateResults(agg, io, nil, []*sim.Future[*Result]{a, b})
 	e.Go("resolve", func(p *sim.Proc) {
 		a.Resolve(&Result{Status: nvme.StatusSuccess, Latency: time.Microsecond, IOTime: time.Microsecond})
 		b.Resolve(&Result{Status: nvme.StatusDataTransferErr, Latency: 3 * time.Microsecond})
@@ -182,6 +184,53 @@ func TestAggregateResultsMergesErrorAndTiming(t *testing.T) {
 		}
 		if r.Latency != 3*time.Microsecond {
 			t.Errorf("aggregate latency = %v, want slowest segment", r.Latency)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One SubmitBatch over a striped group rings each member that received
+// entries exactly once, and a split I/O completes into the caller's
+// future once every segment has.
+func TestStripedDoorbellRingsTouchedMembersOnce(t *testing.T) {
+	e := sim.NewEngine(4)
+	const unit = 4096
+	fakes := make([]*memQueue, 3)
+	members := make([]Queue, len(fakes))
+	for i := range fakes {
+		fakes[i] = newMemQueue(e, 1<<20)
+		members[i] = fakes[i]
+	}
+	s := NewStriped(e, unit, members...)
+	bells := func() []int { return []int{fakes[0].bells, fakes[1].bells, fakes[2].bells} }
+	e.Go("io", func(p *sim.Proc) {
+		// Units 0 and 3 belong to member 0, unit 1 to member 1.
+		futs := SubmitBatch(p, s, []*IO{
+			{Offset: 0, Size: unit},
+			{Offset: 3 * unit, Size: unit},
+			{Offset: unit, Size: unit},
+		})
+		if got := bells(); got[0] != 1 || got[1] != 1 || got[2] != 0 {
+			t.Errorf("doorbells per member = %v, want [1 1 0]", got)
+		}
+		for _, f := range futs {
+			if r := f.Wait(p); r.Status != nvme.StatusSuccess {
+				t.Errorf("batched read: %v", r.Status)
+			}
+		}
+		// A write over units 0..2 splits into one segment per member.
+		want := bytes.Repeat([]byte{0x3C}, 3*unit)
+		if r := Submit(p, s, &IO{Write: true, Offset: 0, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+			t.Errorf("split write: %v", r.Status)
+		}
+		if got := bells(); got[0] != 2 || got[1] != 2 || got[2] != 1 {
+			t.Errorf("doorbells per member after the split write = %v, want [2 2 1]", got)
+		}
+		buf := make([]byte, len(want))
+		if r := Submit(p, s, &IO{Offset: 0, Size: len(buf), Data: buf}).Wait(p); r.Status != nvme.StatusSuccess || !bytes.Equal(r.Data, want) {
+			t.Errorf("split read back: status %v, bytes match %v", r.Status, bytes.Equal(r.Data, want))
 		}
 	})
 	if err := e.Run(); err != nil {

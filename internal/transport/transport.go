@@ -78,7 +78,7 @@ type Result struct {
 	Status nvme.Status
 	// Data is the read payload when real bytes were moved.
 	Data []byte
-	// Latency is the end-to-end time from Submit to completion.
+	// Latency is the end-to-end time from the doorbell to completion.
 	Latency time.Duration
 	// IOTime, CommTime, OtherTime decompose Latency as in the paper's
 	// Figures 3 and 12: device time, fabric transit time, and the rest
@@ -90,43 +90,45 @@ type Result struct {
 func (r *Result) Err() error { return r.Status.Error() }
 
 // Queue is one host-side I/O queue pair bound to a transport connection.
-// Submit never blocks the caller beyond CPU accounting; completion is
-// delivered through the returned future.
+// It has one submission primitive, the NVMe one: write entries into the
+// submission queue (SubmitInto), then ring the doorbell once for the
+// train (RingDoorbell). Submit and SubmitBatch are helpers over it.
 type Queue interface {
-	// Submit enqueues an I/O. The returned future resolves with the
-	// request's result. p is the submitting process (pays submit CPU).
-	Submit(p *sim.Proc, io *IO) *sim.Future[*Result]
-	// Close tears the queue down; outstanding requests complete first.
+	// SubmitInto admits io to complete into fut without ringing the
+	// doorbell. fut must be unresolved; on admission failure it resolves
+	// immediately with a typed error. The caller owns fut, so a ring can
+	// recycle one per slot instead of allocating one per op.
+	SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result])
+	// RingDoorbell submits everything admitted since the previous
+	// doorbell as one train: p pays the train's payload staging and one
+	// submit-CPU charge, and the queue's reactor wakes once.
+	RingDoorbell(p *sim.Proc)
+	// Close tears the queue down; rung requests complete first, and
+	// requests whose doorbell never rang fail.
 	Close()
 }
 
-// BatchQueue is implemented by queues that additionally support
-// doorbell-batched submission: SubmitBatch stages and enqueues a train
-// of I/Os with one submit-CPU charge and one reactor kick, and the
-// queue's reactor coalesces the train into batch capsules on the wire
-// (when the transport's BatchSize permits). The returned futures align
-// with ios; completion semantics match Submit exactly.
-type BatchQueue interface {
-	Queue
-	SubmitBatch(p *sim.Proc, ios []*IO) []*sim.Future[*Result]
+// Submit submits one I/O as a train of one. The returned future resolves
+// with the request's result. p is the submitting process (pays submit CPU).
+func Submit(p *sim.Proc, q Queue, io *IO) *sim.Future[*Result] {
+	fut := sim.NewFuture[*Result](p.Engine())
+	q.SubmitInto(p, io, fut)
+	q.RingDoorbell(p)
+	return fut
 }
 
-// RingSubmitter is implemented by queues that additionally support
-// ring-native submission: the CALLER owns the completion future (a ring
-// recycles one per slot instead of allocating one per op) and rings the
-// doorbell once per staged train, so steady-state submission costs no
-// allocation and no per-op reactor wakeup. Queues without it (striped
-// groups, the replicated router) are still ring-drivable through
-// Submit/SubmitBatch, just not allocation-free.
-type RingSubmitter interface {
-	Queue
-	// SubmitInto stages io to complete into fut WITHOUT ringing the
-	// doorbell. fut must be unresolved; on admission failure it resolves
-	// immediately with a typed error. Completion semantics match Submit.
-	SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result])
-	// RingDoorbell charges one submit-CPU for everything staged since
-	// the previous doorbell and wakes the queue's reactor once.
-	RingDoorbell(p *sim.Proc)
+// SubmitBatch submits ios as one train (one submit-CPU charge, one
+// reactor kick), which the reactor coalesces into batch capsules when
+// the transport's BatchSize permits. The returned futures align with
+// ios; completion semantics match Submit exactly.
+func SubmitBatch(p *sim.Proc, q Queue, ios []*IO) []*sim.Future[*Result] {
+	futs := make([]*sim.Future[*Result], len(ios))
+	for i, io := range ios {
+		futs[i] = sim.NewFuture[*Result](p.Engine())
+		q.SubmitInto(p, io, futs[i])
+	}
+	q.RingDoorbell(p)
+	return futs
 }
 
 // Pending tracks one in-flight request on the client side.

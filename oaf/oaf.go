@@ -635,7 +635,7 @@ func (q *Queue) Read(offset int64, size int) (*Result, error) {
 // drains dirty lines; if a crash already lost unflushed data, the flush
 // fails with a write-fault error instead of succeeding silently.
 func (q *Queue) Flush() (*Result, error) {
-	return q.wait(&Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{Flush: true})})
+	return q.wait(&Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{Flush: true})})
 }
 
 // WriteModeled issues a write whose payload is modeled (timing charged,
@@ -656,7 +656,7 @@ type Async struct {
 
 // WriteAsync issues a write without waiting.
 func (q *Queue) WriteAsync(offset int64, data []byte) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Write: true, Offset: offset, Size: len(data), Data: data,
 	})}
 }
@@ -664,21 +664,21 @@ func (q *Queue) WriteAsync(offset int64, data []byte) *Async {
 // WriteAsyncModeled issues a modeled write (no bytes materialized)
 // without waiting.
 func (q *Queue) WriteAsyncModeled(offset int64, size int) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Write: true, Offset: offset, Size: size,
 	})}
 }
 
 // ReadAsyncModeled issues a modeled read without waiting.
 func (q *Queue) ReadAsyncModeled(offset int64, size int) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Offset: offset, Size: size,
 	})}
 }
 
 // ReadAsync issues a read without waiting.
 func (q *Queue) ReadAsync(offset int64, size int) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Offset: offset, Size: size, Data: make([]byte, size),
 	})}
 }

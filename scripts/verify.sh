@@ -4,8 +4,11 @@
 #   2. go build    — everything compiles
 #   3. dupcheck    — no >40-line cross-file clones in the fabric packages
 #      (internal/{core,tcp,rdma,session} must share the session engine,
-#      not carry private copies of it), and no binding server or client
-#      built outside internal/stack; also prints the LoC report
+#      not carry private copies of it), no binding server or client
+#      built outside internal/stack, and no Submit/SubmitBatch method over
+#      transport.IO in the module (queues submit through SubmitInto +
+#      RingDoorbell; transport.Submit/SubmitBatch are the helpers); also
+#      prints the LoC report
 #   4. go test -race — full suite under the race detector (the sim engine
 #      runs procs one at a time, but real goroutines, channels, and the
 #      shared-memory atomics still get exercised); this includes the
